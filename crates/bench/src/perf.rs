@@ -2,7 +2,7 @@
 //!
 //! Runs a fixed macro-benchmark suite against the simulation kernel and
 //! renders one `abe-bench/kernel-v1` JSON document (`BENCH_kernel.json` at
-//! the repo root by convention) — the perf trajectory's datapoints. Three
+//! the repo root by convention) — the perf trajectory's datapoints. Five
 //! suites:
 //!
 //! * **queue_churn** — a steady-state schedule/cancel/pop workload driven
@@ -22,6 +22,10 @@
 //!   trajectory is visible even when the harness runs on a single core.
 //! * **fault_storm** — an election under crash-recover churn plus a delay
 //!   storm, measuring dispatch throughput with the fault layer active.
+//! * **sync_antientropy** — Merkle-descent anti-entropy on `K₁₆` to
+//!   convergence at two key-space sizes: the protocol-dominated workload,
+//!   where per-event cost is digest-tree upkeep and leaf transfers rather
+//!   than the kernel.
 //!
 //! Wall-clock numbers are machine-dependent by nature; everything else
 //! about the workloads (seeds, grids, op mixes) is fixed, so runs on the
@@ -37,6 +41,7 @@ use abe_core::delay::Exponential;
 use abe_core::fault::{EdgeSelector, FaultPlan};
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_sim::{EventQueue, EventToken, HeapQueue, QueueStats, SimTime, SplitMix64};
+use abe_statesync::{run_antientropy, SyncConfig};
 use abe_stats::json_f64;
 
 use crate::sweep::json::json_str;
@@ -149,7 +154,7 @@ impl PerfCell {
 /// One benchmark suite: a name plus its measured cells.
 #[derive(Debug, Clone)]
 pub struct PerfSuite {
-    /// Suite identifier (`queue_churn`, `ring_election`, `fault_storm`).
+    /// Suite identifier (`queue_churn`, `ring_election`, `fault_storm`, …).
     pub name: &'static str,
     /// One-line description embedded in the JSON.
     pub about: &'static str,
@@ -552,15 +557,62 @@ fn fault_storm_suite(mode: PerfMode) -> PerfSuite {
     }
 }
 
+fn sync_antientropy_suite(mode: PerfMode) -> PerfSuite {
+    // The 4096-key cell is full-mode only: a debug build re-derives the
+    // root from scratch after every merge, far too slow for the test
+    // that runs the smoke grid.
+    let key_spaces: &[u32] = match mode {
+        PerfMode::Smoke => &[256],
+        PerfMode::Full => &[256, 4096],
+    };
+    let cells = key_spaces
+        .iter()
+        .map(|&key_space| {
+            let cfg = SyncConfig::new(16, key_space).divergence(0.25).seed(1);
+            let started = Instant::now();
+            let outcome = run_antientropy(&cfg);
+            let wall = started.elapsed().as_secs_f64();
+            assert!(
+                outcome.converged(),
+                "perf anti-entropy at key_space={key_space} must converge"
+            );
+            let sync = outcome.sync_report();
+            PerfCell {
+                params: vec![
+                    ("n", ParamValue::U64(16)),
+                    ("key_space", ParamValue::U64(u64::from(key_space))),
+                ],
+                events: outcome.report.events_processed,
+                wall_seconds: wall,
+                counters: BTreeMap::from([
+                    ("messages", outcome.report.messages_sent),
+                    ("rounds", sync.rounds),
+                    ("wire_bytes", sync.wire_bytes),
+                    ("entries_sent", sync.entries_sent),
+                ]),
+                metrics: BTreeMap::new(),
+            }
+        })
+        .collect();
+    PerfSuite {
+        name: "sync_antientropy",
+        about: "Merkle-descent anti-entropy on K_16 to convergence (a quarter of the \
+                keys dirty, exponential mean-1 delays): digest-tree upkeep and leaf \
+                transfers dominate, the kernel is the floor",
+        cells,
+    }
+}
+
 /// Runs the complete kernel macro-benchmark suite at the given mode.
 pub fn run(mode: PerfMode) -> KernelBench {
     let (churn, comparison) = churn_suite(mode);
     let election = election_suite(mode);
     let parallel = parallel_election_suite(mode);
     let storm = fault_storm_suite(mode);
+    let sync = sync_antientropy_suite(mode);
     KernelBench {
         mode,
-        suites: vec![churn, election, parallel, storm],
+        suites: vec![churn, election, parallel, storm, sync],
         churn: comparison,
     }
 }

@@ -534,7 +534,7 @@ mod perf_harness {
     #[test]
     fn kernel_bench_smoke_document_is_valid_json_with_throughput() {
         let bench = perf::run(PerfMode::Smoke);
-        assert_eq!(bench.suites.len(), 4);
+        assert_eq!(bench.suites.len(), 5);
         let doc = bench.to_json();
         assert_valid_json(&doc);
         assert!(doc.starts_with("{\"schema\":\"abe-bench/kernel-v1\""));
@@ -543,6 +543,7 @@ mod perf_harness {
             "ring_election",
             "ring_election_parallel",
             "fault_storm",
+            "sync_antientropy",
         ]) {
             assert_eq!(suite.name, name);
             assert!(!suite.cells.is_empty(), "{name} has no cells");

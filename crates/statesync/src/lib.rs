@@ -15,8 +15,12 @@
 //!
 //! * [`StateStore`] — the per-replica map with a commutative,
 //!   associative, idempotent last-writer-wins merge;
-//! * [`Digests`] — the implicit fixed-fanout digest tree (hashes are a
-//!   pure function of store content: determinism rule for sharded runs);
+//! * [`Digests`] — the fixed-fanout digest-tree shape and the
+//!   from-scratch definition of its composed hashes (a pure function of
+//!   store content: determinism rule for sharded runs);
+//! * [`DigestTree`] — the per-replica cache of every node hash, kept
+//!   equal to that definition by rehashing one root-to-leaf path per
+//!   applied write, so the protocol's digests are lookups;
 //! * [`AntiEntropy`] — the Merkle-descent reconciliation
 //!   [`Protocol`](abe_core::Protocol);
 //! * [`FullExchange`] — the trivial full-state reference reconciler the
@@ -55,7 +59,7 @@ pub mod protocol;
 pub mod runner;
 pub mod store;
 
-pub use digest::{Digests, DEFAULT_FANOUT, DEFAULT_LEAF_WIDTH};
+pub use digest::{DigestTree, Digests, DEFAULT_FANOUT, DEFAULT_LEAF_WIDTH};
 pub use protocol::{AntiEntropy, FullExchange, SyncMsg};
 pub use runner::{
     base_payload, fresh_payload, run_antientropy, run_reference, FreshWrite, SyncConfig,

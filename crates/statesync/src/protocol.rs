@@ -27,7 +27,7 @@
 use abe_core::{Ctx, InPort, OutPort, Protocol};
 use abe_sim::Xoshiro256PlusPlus;
 
-use crate::digest::Digests;
+use crate::digest::{DigestTree, Digests};
 use crate::store::StateStore;
 
 /// Wire messages of the reconciliation protocols.
@@ -100,14 +100,14 @@ impl SyncMsg {
     }
 }
 
-/// Shared replica state: the store, its digest shape, and the per-peer
+/// Shared replica state: the store, its digest tree, and the per-peer
 /// root bookkeeping that drives gossip and termination.
 #[derive(Debug, Clone)]
 struct Replica {
-    digests: Digests,
     store: StateStore,
-    /// Cached root hash of `store` (recomputed after every merge).
-    root: u64,
+    /// Every digest-tree hash of `store`; [`merge`](Self::merge), the
+    /// only writer of `store`, keeps it current.
+    tree: DigestTree,
     /// Last root heard from each peer, indexed by out-port.
     peer_roots: Vec<Option<u64>>,
     rounds: u64,
@@ -116,11 +116,9 @@ struct Replica {
 
 impl Replica {
     fn new(out_degree: usize, digests: Digests, store: StateStore, rounds_cap: u64) -> Self {
-        let root = digests.root(&store);
         Self {
-            digests,
+            tree: DigestTree::build(digests, &store),
             store,
-            root,
             peer_roots: vec![None; out_degree],
             rounds: 0,
             rounds_cap,
@@ -129,7 +127,8 @@ impl Replica {
 
     /// Whether any peer's last-heard root is unknown or mismatched.
     fn divergent(&self) -> bool {
-        self.peer_roots.iter().any(|r| *r != Some(self.root))
+        let root = self.tree.root();
+        self.peer_roots.iter().any(|r| *r != Some(root))
     }
 
     fn wants_tick(&self) -> bool {
@@ -165,24 +164,29 @@ impl Replica {
             ctx,
             port,
             SyncMsg::Root {
-                hash: self.root,
+                hash: self.tree.root(),
                 is_reply: false,
             },
         );
     }
 
-    /// Merges received entries; returns how many changed the store.
+    /// Merges received entries, rehashing the tree path of each one that
+    /// changed the store; returns how many did.
     fn merge(&mut self, entries: &[(u32, u64, u64)]) -> u64 {
         let mut applied = 0;
         for &(k, v, p) in entries {
             if self.store.write(k, v, p) {
+                self.tree.update(&self.store, k);
                 applied += 1;
             }
         }
-        if applied > 0 {
-            self.root = self.digests.root(&self.store);
-        }
+        debug_assert_eq!(self.tree.root(), self.tree.shape().root(&self.store));
         applied
+    }
+
+    /// The hash of `[lo, hi)` — the protocol's one way to obtain it.
+    fn range_hash(&self, lo: u32, hi: u32) -> u64 {
+        self.tree.range_hash(&self.store, lo, hi)
     }
 
     /// Handles a root-gossip message; `descend` is invoked with the reply
@@ -201,12 +205,12 @@ impl Replica {
                 ctx,
                 back,
                 SyncMsg::Root {
-                    hash: self.root,
+                    hash: self.tree.root(),
                     is_reply: true,
                 },
             );
         }
-        if hash != self.root {
+        if hash != self.tree.root() {
             descend(self, ctx, back);
         }
     }
@@ -251,7 +255,7 @@ impl AntiEntropy {
 
     /// The replica's current root hash.
     pub fn root(&self) -> u64 {
-        self.replica.root
+        self.replica.tree.root()
     }
 
     /// Gossip rounds initiated so far.
@@ -283,13 +287,13 @@ impl Protocol for AntiEntropy {
                         back,
                         SyncMsg::SubtreeReq {
                             lo: 0,
-                            hi: r.digests.key_space(),
+                            hi: r.tree.shape().key_space(),
                         },
                     );
                 });
             }
             SyncMsg::SubtreeReq { lo, hi } => {
-                if r.digests.is_leaf(lo, hi) {
+                if r.tree.shape().is_leaf(lo, hi) {
                     let entries = r.store.entries_in(lo, hi);
                     Replica::post(
                         ctx,
@@ -302,12 +306,8 @@ impl Protocol for AntiEntropy {
                         },
                     );
                 } else {
-                    let hashes = r
-                        .digests
-                        .children(lo, hi)
-                        .into_iter()
-                        .map(|(l, h)| (l, h, r.digests.range_hash(&r.store, l, h)))
-                        .collect();
+                    let kids = r.tree.shape().children(lo, hi);
+                    let hashes = kids.map(|(l, h)| (l, h, r.range_hash(l, h))).collect();
                     Replica::post(ctx, back, SyncMsg::SubtreeDigests { lo, hi, hashes });
                 }
             }
@@ -316,10 +316,10 @@ impl Protocol for AntiEntropy {
                 // leaf width, push our entries straight away (the peer
                 // answers with its post-merge set via `want_back`).
                 for (l, h, peer_hash) in hashes {
-                    if r.digests.range_hash(&r.store, l, h) == peer_hash {
+                    if r.range_hash(l, h) == peer_hash {
                         continue;
                     }
-                    if r.digests.is_leaf(l, h) {
+                    if r.tree.shape().is_leaf(l, h) {
                         let entries = r.store.entries_in(l, h);
                         Replica::post(
                             ctx,
@@ -436,7 +436,7 @@ impl Protocol for FullExchange {
         match msg {
             SyncMsg::Root { hash, is_reply } => {
                 r.on_root(ctx, back, hash, is_reply, |r, ctx, back| {
-                    let key_space = r.digests.key_space();
+                    let key_space = r.tree.shape().key_space();
                     let entries = r.store.entries_in(0, key_space);
                     Replica::post(
                         ctx,
@@ -452,7 +452,7 @@ impl Protocol for FullExchange {
                 let applied = r.merge(&entries);
                 ctx.count("sync_entries_applied", applied);
                 if want_back {
-                    let key_space = r.digests.key_space();
+                    let key_space = r.tree.shape().key_space();
                     let entries = r.store.entries_in(0, key_space);
                     Replica::post(
                         ctx,

@@ -148,7 +148,16 @@ impl SyncConfig {
     }
 
     /// Replaces the digest-tree shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `fanout >= 2` and `leaf_width >= 1`.
+    #[track_caller]
     pub fn tree(mut self, fanout: u32, leaf_width: u32) -> Self {
+        assert!(
+            fanout >= 2 && leaf_width >= 1,
+            "digest tree needs fanout >= 2 and leaf width >= 1, got {fanout} and {leaf_width}"
+        );
         self.fanout = fanout;
         self.leaf_width = leaf_width;
         self

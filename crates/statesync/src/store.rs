@@ -60,13 +60,16 @@ impl StateStore {
         self.entries.is_empty()
     }
 
-    /// The entries with `lo <= key < hi`, ascending — the payload of one
-    /// leaf-range transfer.
+    /// Borrowing walk over the entries with `lo <= key < hi`, ascending
+    /// (what digest hashing reads; allocates nothing).
+    pub fn range(&self, lo: u32, hi: u32) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
+        self.entries.range(lo..hi).map(|(&k, &(v, p))| (k, v, p))
+    }
+
+    /// The entries with `lo <= key < hi`, ascending, as an owned vector —
+    /// the payload of one leaf-range or full-state transfer.
     pub fn entries_in(&self, lo: u32, hi: u32) -> Vec<(u32, u64, u64)> {
-        self.entries
-            .range(lo..hi)
-            .map(|(&k, &(v, p))| (k, v, p))
-            .collect()
+        self.range(lo, hi).collect()
     }
 
     /// Borrowing view of the full map (oracle comparisons).

@@ -2,11 +2,20 @@
 //! equality witness for whole state maps, and subtree hashes localise a
 //! diff to exactly the root-to-leaf path containing it — the two facts
 //! the Merkle-descent protocol's correctness and wire-cost bound both
-//! rest on.
+//! rest on — plus the cache invariant: the incrementally maintained
+//! [`DigestTree`] equals the from-scratch [`Digests`] definition at every
+//! node after every write, in isolation and inside protocol runs.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use abe_statesync::{base_payload, fresh_payload, Digests, StateStore};
+use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
+use abe_core::{NetworkBuilder, Topology};
+use abe_sim::RunLimits;
+use abe_statesync::{
+    base_payload, fresh_payload, AntiEntropy, DigestTree, Digests, StateStore, SyncConfig,
+};
 
 /// Expands one raw 64-bit draw into a `(key, version, payload)` entry
 /// inside `key_space` (the vendored proptest generates scalars, not
@@ -101,6 +110,54 @@ proptest! {
         prop_assert!((lo..hi).contains(&k));
     }
 
+    /// The maintained tree never drifts from the definition: after every
+    /// write of a random sequence — applied or rejected, in range or
+    /// beyond the key space — every cached node equals
+    /// `Digests::range_hash` of its range, and the final tree equals one
+    /// built fresh from the final store. Shapes cover ragged last
+    /// children, `leaf_width = 1`, and a root that is itself a leaf
+    /// (`key_space <= leaf_width`).
+    #[test]
+    fn maintained_tree_equals_the_definition_after_every_write(
+        key_space in 1u32..200,
+        fanout in 2u32..6,
+        leaf_width in 1u32..12,
+        prefill in prop::collection::vec(any::<u64>(), 0..60),
+        writes in prop::collection::vec(any::<u64>(), 1..40),
+    ) {
+        let shape = Digests::with_shape(key_space, fanout, leaf_width);
+        let mut store = StateStore::new();
+        for &raw in &prefill {
+            let (k, v, p) = entry(raw, key_space);
+            store.write(k, v, p);
+        }
+        let mut tree = DigestTree::build(shape, &store);
+        prop_assert_eq!(tree.root(), shape.root(&store));
+        for &raw in &writes {
+            // One draw in eight lands past the key space: stored, but
+            // outside every digest.
+            let (k, v, p) = entry(raw, key_space + key_space / 8 + 1);
+            if store.write(k, v, p) {
+                tree.update(&store, k);
+            }
+            for (lo, hi, hash) in tree.nodes() {
+                prop_assert_eq!(
+                    hash,
+                    shape.range_hash(&store, lo, hi),
+                    "node [{}, {}) after write at {} (K={}, fanout={}, leaf={})",
+                    lo, hi, k, key_space, fanout, leaf_width
+                );
+            }
+        }
+        prop_assert_eq!(&tree, &DigestTree::build(shape, &store));
+        // Ranges that are no tree node fall back to the definition.
+        let (lo, hi) = (key_space / 3, key_space - key_space / 5);
+        prop_assert_eq!(
+            tree.range_hash(&store, lo, hi),
+            shape.range_hash(&store, lo, hi)
+        );
+    }
+
     /// Removing the diff heals every range hash: writing the same entry
     /// into the lagging store makes all subtree hashes equal again
     /// (hashes depend only on content, never on write order).
@@ -131,6 +188,74 @@ proptest! {
                 digests.range_hash(&fwd, lo, hi),
                 digests.range_hash(&rev, lo, hi)
             );
+        }
+    }
+}
+
+/// Children never step past `hi`, so a range ending at `u32::MAX` tiles
+/// exactly instead of wrapping.
+#[test]
+fn children_tile_ranges_ending_at_the_top_of_the_key_type() {
+    let d = Digests::with_shape(u32::MAX, 4, 2);
+    let (lo, hi) = (u32::MAX - 10, u32::MAX);
+    let kids: Vec<_> = d.children(lo, hi).collect();
+    assert_eq!(kids.len(), 4);
+    assert_eq!(kids.first().map(|k| k.0), Some(lo));
+    assert_eq!(kids.last().map(|k| k.1), Some(hi));
+    assert!(kids.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+    assert_eq!(d.children(0, u32::MAX).count(), 4);
+}
+
+#[test]
+#[should_panic(expected = "fanout >= 2")]
+fn tree_shape_is_validated_where_it_is_set() {
+    let _ = SyncConfig::new(4, 64).tree(1, 8);
+}
+
+/// Inside real runs — e21's smoke grid, sequential and on two shards —
+/// every replica's cached root equals the definition on its final store.
+#[test]
+fn cached_roots_match_the_definition_after_protocol_runs() {
+    let families: [SharedDelay; 3] = [
+        Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
+        Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds")),
+        Arc::new(Deterministic::new(1.0).expect("valid value")),
+    ];
+    for (family, delay) in families.iter().enumerate() {
+        for n in [4u32, 8] {
+            for divergence in [0.1, 0.4] {
+                for shards in [1u32, 2] {
+                    let cfg = SyncConfig::new(n, 256).divergence(divergence).seed(7);
+                    let (digests, writes) = (cfg.digests(), cfg.fresh_writes());
+                    let net = NetworkBuilder::new(Topology::complete(n).expect("n >= 1"))
+                        .delay_shared(Arc::clone(delay))
+                        .seed(cfg.seed)
+                        .shards(shards)
+                        .build(|i| {
+                            let store = cfg.initial_store(i as u32, &writes);
+                            AntiEntropy::new(
+                                i as u32,
+                                n as usize - 1,
+                                digests,
+                                store,
+                                cfg.rounds_cap,
+                            )
+                        })
+                        .expect("valid build");
+                    let limits = RunLimits::events(cfg.max_events);
+                    let (_, net) = if shards > 1 {
+                        net.run_sharded(limits)
+                    } else {
+                        net.run(limits)
+                    };
+                    let replicas = net.into_protocols();
+                    let what = format!("family={family} n={n} div={divergence} shards={shards}");
+                    for p in &replicas {
+                        assert_eq!(p.root(), digests.root(p.store()), "{what}: node {}", p.id());
+                        assert_eq!(p.root(), replicas[0].root(), "{what}: not converged");
+                    }
+                }
+            }
         }
     }
 }
