@@ -16,10 +16,11 @@
 //!   "million-node election in seconds on one core" measurement).
 //! * **ring_election_parallel** — the same election sharded across the
 //!   deterministic parallel kernel (`abe_core::shard`) to a fixed
-//!   virtual-time horizon, at 1–8 shards. Each cell records the wall
-//!   clock *and* the modelled speedup `Σ busy / critical_path` — the
-//!   lower bound on wall clock with one core per shard — so the scaling
-//!   trajectory is visible even when the harness runs on a single core.
+//!   virtual-time horizon, at 1–8 shards, under a delay family with a
+//!   static lookahead (uniform) and one whose lookahead is pre-drawn
+//!   (exponential). Each cell records its wall clock, the measured
+//!   `speedup_vs_seq` against its `shards = 1` twin, and the
+//!   `work_inflation` `Σ busy / sequential wall` that must stay near 1.
 //! * **fault_storm** — an election under crash-recover churn plus a delay
 //!   storm, measuring dispatch throughput with the fault layer active.
 //! * **sync_antientropy** — Merkle-descent anti-entropy on `K₁₆` to
@@ -103,7 +104,7 @@ pub struct PerfCell {
     pub wall_seconds: f64,
     /// Extra counters (messages, faults, …).
     pub counters: BTreeMap<&'static str, u64>,
-    /// Extra real-valued metrics (modelled speedups, ratios, …).
+    /// Extra real-valued metrics (measured speedups, ratios, …).
     pub metrics: BTreeMap<&'static str, f64>,
 }
 
@@ -444,20 +445,32 @@ fn election_suite(mode: PerfMode) -> PerfSuite {
 
 /// One fixed-horizon sharded election run (`MaxTime` outcome by
 /// construction, so the windowed parallel path is exercised rather than
-/// the stop-request fallback).
-fn parallel_election_cell(n: u32, shards: u32, horizon: f64) -> PerfCell {
-    use abe_core::delay::Uniform;
+/// the stop-request fallback). `seq_wall` is the wall clock of the
+/// `shards = 1` cell with the same `delay` and `n`; `None` for that cell
+/// itself.
+fn parallel_election_cell(
+    delay: &'static str,
+    n: u32,
+    shards: u32,
+    horizon: f64,
+    seq_wall: Option<f64>,
+) -> PerfCell {
+    use abe_core::delay::{SharedDelay, Uniform};
     use abe_core::{NetworkBuilder, Topology};
     use abe_election::AbeElection;
     use abe_sim::{RunLimits, RunOutcome};
 
+    let model: SharedDelay = match delay {
+        "uniform" => Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds")),
+        _ => Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
+    };
     // a0 = 0.5 (not the calibrated 1/n²): every node activates within its
     // first few ticks, so ~n tokens circulate for the whole horizon — a
     // steady delivery workload. The election itself needs Ω(n·δ_min)
     // virtual time to complete, far past the horizon, so no stop request
     // ever interrupts a window.
     let net = NetworkBuilder::new(Topology::unidirectional_ring(n).expect("n >= 1"))
-        .delay(Uniform::new(0.5, 1.5).expect("valid bounds"))
+        .delay_shared(model)
         .seed(1)
         .shards(shards)
         .build(|_| AbeElection::new(n, 0.5).expect("valid a0"))
@@ -469,24 +482,27 @@ fn parallel_election_cell(n: u32, shards: u32, horizon: f64) -> PerfCell {
     assert_eq!(
         report.outcome,
         RunOutcome::MaxTime,
-        "parallel perf run at n={n}, shards={shards} must end at the horizon"
+        "parallel perf run at delay={delay}, n={n}, shards={shards} must end at the horizon"
     );
+    let seq_wall = seq_wall.unwrap_or(wall);
     let mut counters = BTreeMap::from([("messages", report.messages_sent)]);
-    let mut metrics = BTreeMap::from([("modeled_speedup", 1.0)]);
+    let mut metrics = BTreeMap::from([("speedup_vs_seq", seq_wall / wall.max(1e-9))]);
     if let Some(timing) = net.shard_timing() {
-        assert!(!timing.fell_back, "a MaxTime horizon run never falls back");
+        assert!(
+            !timing.fell_back,
+            "parallel perf run at delay={delay}, n={n}, shards={shards} fell back: {timing:?}"
+        );
         let busy: u64 = timing.busy_nanos.iter().sum();
         counters.insert("windows", timing.windows);
         counters.insert("single_steps", timing.single_steps);
+        counters.insert("credit_halts", timing.credit_halts);
         counters.insert("busy_nanos", busy);
         counters.insert("critical_path_nanos", timing.critical_path_nanos);
-        metrics.insert(
-            "modeled_speedup",
-            busy as f64 / timing.critical_path_nanos.max(1) as f64,
-        );
+        metrics.insert("work_inflation", busy as f64 * 1e-9 / seq_wall.max(1e-9));
     }
     PerfCell {
         params: vec![
+            ("delay", ParamValue::Str(delay)),
             ("n", ParamValue::U64(u64::from(n))),
             ("shards", ParamValue::U64(u64::from(shards))),
         ],
@@ -498,6 +514,8 @@ fn parallel_election_cell(n: u32, shards: u32, horizon: f64) -> PerfCell {
 }
 
 fn parallel_election_suite(mode: PerfMode) -> PerfSuite {
+    // Every grid starts at `shards = 1`: the sequential twin the other
+    // cells of its (delay, n) group are measured against.
     let (sizes, shard_counts, horizon): (&[u32], &[u32], f64) = match mode {
         PerfMode::Smoke => (&[10_000], &[1, 2, 4], 2.0),
         // 10⁷ is deliberately omitted: the fixed horizon alone would put a
@@ -505,18 +523,24 @@ fn parallel_election_suite(mode: PerfMode) -> PerfSuite {
         PerfMode::Full => (&[100_000, 1_000_000], &[1, 2, 4, 8], 4.0),
     };
     let mut cells = Vec::new();
-    for &n in sizes {
-        for &shards in shard_counts {
-            cells.push(parallel_election_cell(n, shards, horizon));
+    for delay in ["uniform", "exp"] {
+        for &n in sizes {
+            let mut seq_wall = None;
+            for &shards in shard_counts {
+                let cell = parallel_election_cell(delay, n, shards, horizon, seq_wall);
+                seq_wall.get_or_insert(cell.wall_seconds);
+                cells.push(cell);
+            }
         }
     }
     PerfSuite {
         name: "ring_election_parallel",
-        about: "sharded ABE ring election to a fixed virtual-time horizon \
-                (uniform 0.5-1.5 delays give 0.5 s of lookahead per window); \
-                modeled_speedup = total busy time / critical path, the \
-                wall-clock bound with one core per shard — on a single-core \
-                host the wall clock itself cannot speed up",
+        about: "sharded ABE ring election to a fixed virtual-time horizon under \
+                uniform 0.5-1.5 delays (0.5 s of static lookahead per window) and \
+                exponential mean-1 delays (lookahead pre-drawn per cross-shard \
+                edge); speedup_vs_seq = wall of the shards=1 cell / this cell's \
+                wall, on this machine's cores; work_inflation = total busy time / \
+                wall of the shards=1 cell",
         cells,
     }
 }
@@ -648,7 +672,7 @@ mod tests {
             events: 100,
             wall_seconds: 0.5,
             counters: BTreeMap::from([("ops", 7u64)]),
-            metrics: BTreeMap::from([("modeled_speedup", 2.5)]),
+            metrics: BTreeMap::from([("speedup_vs_seq", 2.5)]),
         };
         assert_eq!(cell.events_per_sec(), 200.0);
         assert_eq!(cell.label(), "backend=heap, pending=10");
@@ -656,6 +680,6 @@ mod tests {
         assert!(json.contains("\"params\":{\"backend\":\"heap\",\"pending\":10}"));
         assert!(json.contains("\"events\":100"));
         assert!(json.contains("\"counters\":{\"ops\":7}"));
-        assert!(json.contains("\"metrics\":{\"modeled_speedup\":2.5}"));
+        assert!(json.contains("\"metrics\":{\"speedup_vs_seq\":2.5}"));
     }
 }

@@ -529,7 +529,7 @@ mod perf_harness {
     //! asserts on the written `BENCH_kernel.json`.
 
     use super::assert_valid_json;
-    use abe_bench::perf::{self, PerfMode};
+    use abe_bench::perf::{self, ParamValue, PerfMode};
 
     #[test]
     fn kernel_bench_smoke_document_is_valid_json_with_throughput() {
@@ -557,17 +557,37 @@ mod perf_harness {
         assert!(doc.contains("\"speedup\":"));
 
         // The parallel suite carries the equivalence guarantee into the
-        // document: identical event counts across shard counts, and a
-        // modelled-speedup metric on every cell.
+        // document: identical event counts across shard counts within a
+        // delay family, a measured speedup on every cell, and — on every
+        // sharded cell — the work inflation and not one single-step,
+        // exponential delays included.
         let parallel = &bench.suites[2];
-        let events: std::collections::BTreeSet<u64> =
-            parallel.cells.iter().map(|c| c.events).collect();
-        assert_eq!(events.len(), 1, "event counts differ across shard counts");
-        for cell in &parallel.cells {
-            let speedup = cell.metrics["modeled_speedup"];
-            assert!(speedup > 0.0, "missing modelled speedup");
+        for delay in ["uniform", "exp"] {
+            let family: Vec<_> = parallel
+                .cells
+                .iter()
+                .filter(|c| c.params[0].1 == ParamValue::Str(delay))
+                .collect();
+            let events: std::collections::BTreeSet<u64> = family.iter().map(|c| c.events).collect();
+            assert_eq!(
+                events.len(),
+                1,
+                "{delay}: event counts differ across shards"
+            );
+            for cell in family {
+                assert!(cell.metrics["speedup_vs_seq"] > 0.0, "{delay}: no speedup");
+                if cell.params[2].1 != ParamValue::U64(1) {
+                    assert!(
+                        cell.metrics["work_inflation"] > 0.0,
+                        "{delay}: no inflation"
+                    );
+                    assert_eq!(cell.counters["single_steps"], 0, "{delay}");
+                    assert!(cell.counters["windows"] > 0, "{delay}");
+                }
+            }
         }
-        assert!(doc.contains("\"modeled_speedup\":"));
+        assert!(doc.contains("\"speedup_vs_seq\":"));
+        assert!(doc.contains("\"work_inflation\":"));
     }
 }
 

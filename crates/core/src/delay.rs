@@ -59,13 +59,15 @@ pub trait DelayModel: fmt::Debug + Send + Sync {
 
     /// Infimum of the support: a time no sample can undercut.
     ///
-    /// This is the *lookahead* the sharded kernel builds its conservative
-    /// time windows from — a cross-shard message sent at `t` cannot arrive
+    /// This is the static *lookahead* the sharded kernel builds its time
+    /// windows from — a cross-shard message sent at `t` cannot arrive
     /// before `t + min_delay()`, so shards may safely advance that far
-    /// without synchronising. Models whose support reaches down to zero
-    /// (the exponential family) return `0.0`, which degrades sharded
-    /// execution to single-stepping; models with a genuine floor
-    /// (deterministic, uniform `lo`, Pareto `scale`, …) override this.
+    /// without synchronising. Models with a genuine floor (deterministic,
+    /// uniform `lo`, Pareto `scale`, …) override this. Models whose
+    /// support reaches down to zero (the exponential family) return
+    /// `0.0`; for them the kernel derives the lookahead from the delays
+    /// it pre-draws on each cross-shard edge instead (see
+    /// [`crate::shard`]), and single-steps only where those are zero too.
     ///
     /// Implementations must guarantee `sample(rng) >= min_delay()` for
     /// every RNG state.

@@ -12,7 +12,8 @@
 //! * aggregate message counts and experiment counters into a
 //!   [`NetworkReport`].
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ pub(crate) struct NodeSlot<P> {
 #[derive(Clone)]
 pub(crate) struct ChannelState {
     pub(crate) delay: SharedDelay,
-    rng: Xoshiro256PlusPlus,
+    pub(crate) rng: Xoshiro256PlusPlus,
     /// Dedicated processing-delay stream for this edge; `None` when the
     /// processing model does not consume randomness (see
     /// [`DelayModel::consumes_rng`](crate::delay::DelayModel::consumes_rng)).
@@ -75,6 +76,130 @@ pub(crate) struct ChannelState {
     proc: Option<Box<Xoshiro256PlusPlus>>,
     last_arrival: SimTime,
     sent: u64,
+}
+
+impl ChannelState {
+    /// The next `k` delays [`Network::transmit`] will draw on this
+    /// channel, in seconds and in draw order. Peeked from a *clone* of the
+    /// channel stream: the real stream, and with it every delay the run
+    /// actually uses, is untouched. Exact because delay models are
+    /// stateless — the draws are a pure function of the stream.
+    pub(crate) fn peek_delays(&self, k: u32) -> impl Iterator<Item = f64> + '_ {
+        let mut rng = self.rng.clone();
+        (0..k).map(move |_| self.delay.sample(&mut rng).as_secs())
+    }
+}
+
+/// One edge whose next few delays are pre-drawn: a cross-shard out-edge
+/// with no static lookahead, or a *feeder* — a shard-local in-edge, also
+/// without one, of such an edge's source node.
+#[derive(Clone)]
+pub(crate) struct EdgeCredit {
+    pub(crate) edge: u32,
+    /// Pre-drawn delays the edge has not consumed yet.
+    pub(crate) left: u32,
+    /// Lower bound on the latency of the sends those delays will carry.
+    pub(crate) bound: f64,
+}
+
+/// The source node of pre-drawn cross-shard out-edges. It can send on them
+/// only while it handles an event, so a lower bound on its next event —
+/// the events already scheduled for it, and the soonest a shard-local
+/// neighbour could reach it with a new message — is added to their bounds.
+#[derive(Clone)]
+pub(crate) struct CrossSource {
+    pub(crate) node: u32,
+    /// Its pre-drawn cross-shard out-edges, as indices into the credits.
+    pub(crate) out: Vec<usize>,
+    /// Its feeders, as indices into the credits.
+    pub(crate) feeders: Vec<usize>,
+    /// Least static lookahead over its shard-local in-edges that have a
+    /// positive one (`∞` if none).
+    pub(crate) feed_static: f64,
+    /// Times of the events scheduled for the node so far (start, ticks,
+    /// deliveries, crash schedule), earliest first. Cancelled ticks stay —
+    /// the bound only gets more careful — and the barriers prune the past.
+    pub(crate) pending: BinaryHeap<Reverse<SimTime>>,
+}
+
+/// Send-side bookkeeping of one partition during a windowed pass (see
+/// [`crate::shard`]). Empty and inert on a full network, where no send is
+/// ever cross-shard.
+#[derive(Clone)]
+pub(crate) struct CrossSends {
+    /// Every edge whose bound is pre-drawn, ascending by edge id. The
+    /// shard's lookahead covers exactly the sends these edges have credit
+    /// left for.
+    pub(crate) credits: Vec<EdgeCredit>,
+    /// The source nodes of the pre-drawn cross-shard out-edges, ascending.
+    pub(crate) sources: Vec<CrossSource>,
+    /// The furthest horizon any window has been granted so far: no shard
+    /// has processed an event at or beyond it.
+    pub(crate) horizon: f64,
+    /// A credit was consumed since the last barrier (the pre-drawn bounds
+    /// are stale).
+    pub(crate) spent: bool,
+    /// Some edge is out of credit: the next draw on it is not covered by
+    /// the lookahead, so the shard must end its window.
+    pub(crate) exhausted: bool,
+    /// A cross-shard send arrived before `horizon` — possibly in the
+    /// destination shard's past. The windowed pass must abort.
+    pub(crate) late: bool,
+}
+
+impl CrossSends {
+    /// Bookkeeping for the given sources (ascending by node), whose `out`
+    /// and `feeders` still list edge ids: they are resolved to credit
+    /// slots here. No edge has any credit yet: the first barrier pre-draws.
+    pub(crate) fn new(mut sources: Vec<CrossSource>) -> Self {
+        let mut edges: Vec<usize> = sources
+            .iter()
+            .flat_map(|s| s.out.iter().chain(&s.feeders).copied())
+            .collect();
+        edges.sort_unstable();
+        for source in &mut sources {
+            for edge in source.out.iter_mut().chain(&mut source.feeders) {
+                *edge = edges.binary_search(edge).expect("listed above");
+            }
+        }
+        Self {
+            spent: !edges.is_empty(),
+            credits: edges
+                .into_iter()
+                .map(|edge| EdgeCredit {
+                    edge: edge as u32,
+                    left: 0,
+                    bound: 0.0,
+                })
+                .collect(),
+            sources,
+            horizon: f64::NEG_INFINITY,
+            exhausted: false,
+            late: false,
+        }
+    }
+
+    /// Accounts one delay draw on `edge`, if its bound is pre-drawn.
+    #[inline]
+    fn spend(&mut self, edge: u32) {
+        if let Ok(i) = self.credits.binary_search_by_key(&edge, |c| c.edge) {
+            let left = &mut self.credits[i].left;
+            *left = left.saturating_sub(1);
+            self.spent = true;
+            self.exhausted |= *left == 0;
+        }
+    }
+
+    /// Notes an event scheduled for `node` at time `at`, if the node is
+    /// the source of a pre-drawn cross-shard edge. Kept out of line: its
+    /// callers are the send and tick hot paths, which skip it entirely on
+    /// a network without pre-drawn edges.
+    #[inline(never)]
+    pub(crate) fn note_event(&mut self, node: u32, at: SimTime) {
+        if let Ok(i) = self.sources.binary_search_by_key(&node, |s| s.node) {
+            self.sources[i].pending.push(Reverse(at));
+        }
+    }
 }
 
 /// Canonical total order of same-time events, encoded into the queue's
@@ -179,27 +304,36 @@ impl PartialEq for NetworkReport {
 /// Wall-clock telemetry of one sharded run, attached to the returned
 /// [`Network`] by [`Network::run_sharded`] (absent after sequential runs).
 ///
-/// On a host with fewer cores than shards the *wall-clock* speedup is
-/// bounded by the core count; `busy_nanos` / `critical_path_nanos` expose
-/// the work distribution so harnesses can also report the *modelled*
-/// speedup `sum(busy) / critical_path` an unconstrained host would see.
+/// Everything needed to say *why* a sharded run was slow, or why it fell
+/// back, from recorded data: how the run split into windows and
+/// single-steps, how evenly the work spread (`busy_nanos`), how much of it
+/// was serial (`critical_path_nanos`), and what cut windows short. The
+/// speedup itself is a wall-clock ratio against the sequential run, which
+/// only a harness timing both can measure.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardTiming {
     /// Number of shards the run actually used.
     pub shards: u32,
-    /// Conservative time windows executed (parallel phase).
+    /// Time windows executed (parallel phase).
     pub windows: u64,
-    /// Events executed one-at-a-time because the lookahead was zero (the
-    /// degenerate serial fallback for zero-`min_delay` models).
+    /// Events executed one-at-a-time because the lookahead was really
+    /// zero (e.g. `Deterministic(0)` on a cross-shard edge).
     pub single_steps: u64,
+    /// Windows a shard ended early because one of its cross-shard edges
+    /// had used up its pre-drawn delays.
+    pub credit_halts: u64,
     /// Per-shard busy time in nanoseconds (event processing only).
     pub busy_nanos: Vec<u64>,
-    /// Sum over windows of the slowest shard's busy time — the modelled
-    /// wall-clock lower bound with one core per shard.
+    /// Sum over windows of the slowest shard's busy time: the part of
+    /// the event processing no number of cores can overlap.
     pub critical_path_nanos: u64,
     /// Whether the run aborted the windowed pass and re-ran sequentially
-    /// (stop request or event-budget overshoot mid-window).
+    /// (stop request, event-budget overshoot, or a late cross-shard
+    /// arrival mid-window).
     pub fell_back: bool,
+    /// Whether the abort was a cross-shard send arriving before a horizon
+    /// already granted — a delay beyond the pre-drawn ones undercut them.
+    pub late_arrival_abort: bool,
 }
 
 /// A fully wired network of `P`-protocol nodes, ready to simulate.
@@ -243,6 +377,8 @@ pub struct Network<P: Protocol> {
     /// size, message)`, routed into the destination shard at the next
     /// barrier.
     pub(crate) outbox: Vec<(SimTime, u64, u32, u64, P::Message)>,
+    /// Credit and horizon bookkeeping for cross-shard sends.
+    pub(crate) cross: CrossSends,
     /// Telemetry of the last sharded run (set on the merged network).
     pub(crate) timing: Option<ShardTiming>,
 }
@@ -273,6 +409,7 @@ where
             shard_lo: self.shard_lo,
             edge_ranks: self.edge_ranks.clone(),
             outbox: self.outbox.clone(),
+            cross: self.cross.clone(),
             timing: self.timing.clone(),
         }
     }
@@ -359,6 +496,7 @@ impl<P: Protocol> Network<P> {
             shard_lo: 0,
             edge_ranks: None,
             outbox: Vec::new(),
+            cross: CrossSends::new(Vec::new()),
             timing: None,
         }
     }
@@ -367,6 +505,18 @@ impl<P: Protocol> Network<P> {
     #[inline]
     pub(crate) fn node_slot(&self, node: u32) -> usize {
         (node - self.shard_lo) as usize
+    }
+
+    /// Index of `edge`'s channel in this (partition of a) network's
+    /// `channels` vector.
+    #[inline]
+    pub(crate) fn channel_slot(&self, edge: usize) -> usize {
+        match &self.edge_ranks {
+            None => edge,
+            Some(ranks) => ranks
+                .binary_search(&(edge as u32))
+                .expect("edge not owned by this shard"),
+        }
     }
 
     /// Whether `node` is owned by this partition (always true for a full
@@ -579,18 +729,22 @@ impl<P: Protocol> Network<P> {
         let edge = self.topo.out_edges(src)[port];
         let dst = self.topo.edge(edge).dst;
         let src_local = self.node_slot(src.index() as u32);
-        let channel = &mut self.channels[match &self.edge_ranks {
-            None => edge.index(),
-            Some(ranks) => ranks
-                .binary_search(&(edge.index() as u32))
-                .expect("edge not owned by this shard"),
-        }];
+        let cross = !self.owns_node(dst.index() as u32);
+        let channel_slot = self.channel_slot(edge.index());
+        let channel = &mut self.channels[channel_slot];
         // Delay and processing draws happen before the fault verdict, so
         // the channel/processing RNG streams advance identically whether a
         // message is dropped or not. Consuming processing models draw from
         // the edge's dedicated stream (shard-invariant); non-consuming
         // models get the never-read scratch stream.
         let channel_delay = channel.delay.sample(&mut channel.rng);
+        if !self.cross.credits.is_empty() {
+            // Every draw on a pre-drawn edge uses up one of its delays,
+            // dropped sends included: the draw precedes the verdict. (The
+            // list is empty on a full network, and in a partition whose
+            // cross-shard edges all have a static lookahead.)
+            self.cross.spend(edge.index() as u32);
+        }
         let proc_delay = match channel.proc.as_deref_mut() {
             Some(rng) => self.processing.sample(rng),
             None => self.processing.sample(&mut self.proc_rng),
@@ -679,7 +833,7 @@ impl<P: Protocol> Network<P> {
             });
         }
         let key = event_key(KIND_DELIVER, edge.index() as u32, send_seq);
-        if self.owns_node(dst.index() as u32) {
+        if !cross {
             step.schedule_at_keyed(
                 arrival,
                 key,
@@ -689,10 +843,16 @@ impl<P: Protocol> Network<P> {
                     msg,
                 },
             );
+            if !self.cross.sources.is_empty() {
+                self.cross.note_event(dst.index() as u32, arrival);
+            }
         } else {
             // Cross-shard send: held in the outbox and routed into the
             // destination shard's queue at the next window barrier. The
-            // key makes insertion order irrelevant.
+            // key makes insertion order irrelevant. The lookahead bounds
+            // only the pre-drawn delays, so an arrival before a horizon
+            // already granted is detected here, not ruled out.
+            self.cross.late |= arrival.as_secs() < self.cross.horizon;
             self.outbox
                 .push((arrival, key, edge.index() as u32, size, msg));
         }
@@ -711,12 +871,16 @@ impl<P: Protocol> Network<P> {
                 let interval = slot
                     .clock
                     .real_interval(self.tick_interval * stride as f64, &mut slot.rng);
+                let at = step.now() + interval;
                 let token = step.schedule_at_keyed(
-                    step.now() + interval,
+                    at,
                     event_key(KIND_TICK, node_index, 0),
                     NetEvent::Tick(node_index),
                 );
                 slot.tick_token = Some(token);
+                if !self.cross.sources.is_empty() {
+                    self.cross.note_event(node_index, at);
+                }
             }
             (false, Some(token)) => {
                 step.cancel(token);

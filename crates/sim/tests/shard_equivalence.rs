@@ -10,8 +10,12 @@
 //! * positive lookahead (uniform/deterministic delays) → conservative
 //!   time windows, the genuinely parallel path, ending in `Quiescent` or
 //!   `MaxTime` without ever aborting a window;
-//! * zero lookahead (exponential delays) → degenerate exact
-//!   single-stepping;
+//! * infimum-zero delays (exponential) → windows bounded by the delays
+//!   pre-drawn on the cross-shard edges, cut short when an edge runs out
+//!   of them and aborted when a later draw undercuts them;
+//! * really zero delays (`Deterministic(0)`, or a two-point model with an
+//!   atom at zero, which flips between the two regimes from barrier to
+//!   barrier) → exact single-stepping;
 //! * stop requests (every completed election) → exact single-step stop
 //!   or the sequential-replay fallback;
 //! * fault schedules (crash-recover churn, message drops, delay storms)
@@ -32,7 +36,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
+use abe_core::delay::{Bimodal, Deterministic, Exponential, SharedDelay, Uniform};
 use abe_core::fault::{EdgeSelector, FaultPlan};
 use abe_core::{Ctx, InPort, NetworkBuilder, NetworkReport, OutPort, Protocol, Topology};
 use abe_election::{run_abe, run_abe_calibrated, run_itai_rodeh, ElectionOutcome, RingConfig};
@@ -141,19 +145,25 @@ fn windowed_max_time_run_matches_sequential() {
 
 #[test]
 fn zero_lookahead_run_matches_sequential() {
-    // Exponential delays have min_delay 0: every event goes through the
-    // degenerate exact single-stepping path.
-    for shards in [2, 4, 8] {
-        let ((seq_report, seq_relays), (par_report, par_relays)) = hop_token_pair(
-            16,
-            3,
-            shards,
-            Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            RunLimits::events(100_000),
-        );
-        assert_eq!(seq_report.outcome, RunOutcome::Quiescent);
-        assert_eq!(seq_report, par_report, "shards={shards}");
-        assert_eq!(seq_relays, par_relays, "shards={shards}");
+    // Exponential delays have min_delay 0 and run in pre-drawn windows; a
+    // delay that is really zero goes through exact single-stepping.
+    let delays: [SharedDelay; 2] = [
+        Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
+        Arc::new(Deterministic::zero()),
+    ];
+    for delay in delays {
+        for shards in [2, 4, 8] {
+            let ((seq_report, seq_relays), (par_report, par_relays)) = hop_token_pair(
+                16,
+                3,
+                shards,
+                Arc::clone(&delay),
+                RunLimits::events(100_000),
+            );
+            assert_eq!(seq_report.outcome, RunOutcome::Quiescent);
+            assert_eq!(seq_report, par_report, "{delay:?}, shards={shards}");
+            assert_eq!(seq_relays, par_relays, "{delay:?}, shards={shards}");
+        }
     }
 }
 
@@ -381,14 +391,16 @@ fn full_exchange_reference_matches_sequential_for_every_shard_count() {
     }
 }
 
-/// The delay regimes the property sweep draws from: zero lookahead
-/// (exponential), positive lookahead (uniform), and tie-heavy positive
-/// lookahead (deterministic).
+/// The delay regimes the property sweep draws from: pre-drawn lookahead
+/// (exponential), positive lookahead (uniform), tie-heavy positive
+/// lookahead (deterministic), and a two-point delay with an atom at zero,
+/// whose pre-drawn lookahead is zero at some barriers and not at others.
 fn delay_strategy() -> impl Strategy<Value = SharedDelay> {
     prop_oneof![
         Just(Arc::new(Exponential::from_mean(1.0).expect("valid")) as SharedDelay),
         Just(Arc::new(Uniform::new(0.5, 1.5).expect("valid")) as SharedDelay),
         Just(Arc::new(Deterministic::new(1.0).expect("valid")) as SharedDelay),
+        Just(Arc::new(Bimodal::new(0.0, 1.0, 0.8).expect("valid")) as SharedDelay),
     ]
 }
 

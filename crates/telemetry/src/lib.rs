@@ -120,10 +120,11 @@ impl Recording {
 /// record to the retained ring and the optional histogram aggregate.
 ///
 /// Sharded runs give each shard a [`window_buffer`](Self::window_buffer)
-/// — an unbounded, histogram-free recorder that lives for one execution
-/// window — then [`merge_chunks`] the drained buffers into the master
-/// recorder via [`absorb_merged`](Self::absorb_merged) at every window
-/// barrier, reproducing the sequential stream exactly.
+/// — an unbounded, histogram-free recorder — and at every window barrier
+/// [`drain_before`](Self::drain_before) the part of each buffer that no
+/// shard can still add to, then [`merge_chunks`] those prefixes into the
+/// master recorder via [`absorb_merged`](Self::absorb_merged),
+/// reproducing the sequential stream exactly.
 #[derive(Debug, Clone)]
 pub struct RunRecorder {
     cap: Option<usize>,
@@ -151,9 +152,9 @@ impl RunRecorder {
         }
     }
 
-    /// A shard-local recorder for one execution window: unbounded (the
-    /// window bounds it), no histogram (aggregation happens post-merge
-    /// on the master), same payload policy.
+    /// A shard-local recorder: unbounded (barriers keep draining it), no
+    /// histogram (aggregation happens post-merge on the master), same
+    /// payload policy.
     pub fn window_buffer(&self) -> Self {
         Self {
             cap: None,
@@ -204,9 +205,25 @@ impl RunRecorder {
     }
 
     /// Drains the retained records in trace order (used to empty a
-    /// window buffer at a barrier). Leaves `seen` untouched.
+    /// window buffer at the end of a sharded run). Leaves `seen`
+    /// untouched.
     pub fn drain(&mut self) -> Vec<TraceRecord> {
         self.records.drain(..).collect()
+    }
+
+    /// Drains the leading records stamped strictly before `(time, key)`,
+    /// in trace order, and keeps the rest. Shards end a window at
+    /// different times, so at a barrier only the records before the
+    /// earliest event still pending anywhere are final; a record behind a
+    /// held one stays held even if its own stamp is smaller (a same-time
+    /// dispatch its predecessor created). Leaves `seen` untouched.
+    pub fn drain_before(&mut self, time: SimTime, key: u64) -> Vec<TraceRecord> {
+        let held = self
+            .records
+            .iter()
+            .position(|r| (r.time, r.key) >= (time, key))
+            .unwrap_or(self.records.len());
+        self.records.drain(..held).collect()
     }
 
     /// Whether delivered payloads should be captured.
@@ -254,11 +271,12 @@ impl RunRecorder {
 
 /// Merges shard-local trace chunks into exact sequential order.
 ///
-/// Each chunk must be a shard's records for the *same execution
-/// window*, in that shard's emission order. The merge repeatedly emits
-/// the head record with the least `(time, key, sub)` across chunks.
-/// This reproduces the sequential trace exactly: within a window every
-/// cross-shard arrival lands at least one window beyond its cause, so
+/// Each chunk must be a prefix of one shard's not-yet-merged records, in
+/// that shard's emission order, cut where no shard can still emit an
+/// earlier record ([`RunRecorder::drain_before`]). The merge repeatedly
+/// emits the head record with the least `(time, key, sub)` across chunks.
+/// This reproduces the sequential trace exactly: every cross-shard
+/// arrival lands strictly later than its cause, so
 /// the next sequential record is always at some chunk head — and a
 /// same-time record with a *smaller* key created by a later dispatch
 /// can only sit behind its creator in the creator's own chunk, never
@@ -353,6 +371,25 @@ mod tests {
         assert!(w.capture_payloads());
         assert!(w.histograms().is_none());
         assert_eq!(w.cap, None);
+    }
+
+    #[test]
+    fn drain_before_takes_the_final_prefix_and_holds_the_rest() {
+        let mut w = RunRecorder::new(&Recording::full()).window_buffer();
+        for (t, key) in [(1.0, 10), (1.0, 12), (2.0, 3), (2.0, 9), (2.0, 4)] {
+            w.begin(SimTime::from_secs(t), key);
+            w.emit(TraceEvent::Tick { node: 0 });
+        }
+        // (2.0, 4) sits behind the held (2.0, 9): it stays held too.
+        let keys = |recs: Vec<TraceRecord>| recs.iter().map(|r| r.key).collect::<Vec<_>>();
+        assert_eq!(
+            keys(w.drain_before(SimTime::from_secs(2.0), 5)),
+            vec![10, 12, 3]
+        );
+        assert_eq!(w.len(), 2);
+        assert!(w.drain_before(SimTime::from_secs(2.0), 5).is_empty());
+        assert_eq!(keys(w.drain()), vec![9, 4]);
+        assert_eq!(w.seen(), 5);
     }
 
     #[test]
