@@ -25,12 +25,12 @@
 //!
 //! ```
 //! use abe_adversary::TargetHeat;
-//! use abe_core::AdversaryPlan;
+//! use abe_core::{AdversaryPlan, RunConfig};
 //! use abe_election::{run_abe_calibrated, RingConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let plan = AdversaryPlan::new(1.0, TargetHeat::new())?;
-//! let cfg = RingConfig::new(16).seed(3).adversary(plan);
+//! let cfg = RingConfig::new(16, RunConfig::new().seed(3).adversary(plan));
 //! let outcome = run_abe_calibrated(&cfg, 1.0);
 //! assert_eq!(outcome.leaders, 1); // still correct — just slower
 //! // Every per-edge empirical mean honoured the Definition-1 bound.

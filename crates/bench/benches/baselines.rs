@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use abe_core::RunConfig;
 use abe_election::{run_abe_calibrated, run_chang_roberts, run_itai_rodeh, RingConfig};
 
 fn bench_baselines(c: &mut Criterion) {
@@ -12,21 +13,21 @@ fn bench_baselines(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                run_abe_calibrated(&RingConfig::new(n).seed(seed), 1.0).messages
+                run_abe_calibrated(&RingConfig::new(n, RunConfig::new().seed(seed)), 1.0).messages
             })
         });
         group.bench_with_input(BenchmarkId::new("itai-rodeh", n), &n, |b, &n| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                run_itai_rodeh(&RingConfig::new(n).seed(seed)).messages
+                run_itai_rodeh(&RingConfig::new(n, RunConfig::new().seed(seed))).messages
             })
         });
         group.bench_with_input(BenchmarkId::new("chang-roberts", n), &n, |b, &n| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                run_chang_roberts(&RingConfig::new(n).seed(seed)).messages
+                run_chang_roberts(&RingConfig::new(n, RunConfig::new().seed(seed))).messages
             })
         });
     }

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use abe_core::RunConfig;
 use abe_election::{run_abe_calibrated, RingConfig};
 
 fn bench_election(c: &mut Criterion) {
@@ -13,7 +14,8 @@ fn bench_election(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                let outcome = run_abe_calibrated(&RingConfig::new(n).seed(seed), 1.0);
+                let outcome =
+                    run_abe_calibrated(&RingConfig::new(n, RunConfig::new().seed(seed)), 1.0);
                 assert_eq!(outcome.leaders, 1);
                 outcome.messages
             })
@@ -29,7 +31,7 @@ fn bench_activation_budget(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                run_abe_calibrated(&RingConfig::new(256).seed(seed), a).messages
+                run_abe_calibrated(&RingConfig::new(256, RunConfig::new().seed(seed)), a).messages
             })
         });
     }

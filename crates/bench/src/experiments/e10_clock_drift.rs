@@ -7,13 +7,13 @@
 //! including time-varying ("wandering") rates.
 
 use abe_core::clock::{ClockSpec, DriftMode};
-use abe_election::run_abe_calibrated;
+use abe_election::{run_abe_calibrated, RingConfig};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
-use super::{election_stats, ring};
+use super::{election_stats, substrate};
 
 use super::e1_messages::{A, DELTA};
 
@@ -43,7 +43,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let outcome = ctx.sweep(spec, |cell| {
         let (lo, hi, mode) = SPECS[cell.idx("clocks")];
         let clock_spec = ClockSpec::new(lo, hi, mode).expect("valid bounds");
-        let o = run_abe_calibrated(&ring(ctx, n, DELTA, cell.seed()).clocks(clock_spec), A);
+        let run = substrate(ctx, DELTA, cell.seed()).clocks(clock_spec);
+        let o = run_abe_calibrated(&RingConfig::new(n, run), A);
         CellMetrics::new().with_election(&o)
     });
 

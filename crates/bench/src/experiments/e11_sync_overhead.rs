@@ -16,9 +16,9 @@ use abe_core::delay::Exponential;
 use abe_core::{NetworkBuilder, Topology};
 use abe_sim::RunLimits;
 use abe_stats::{fit_power_law, fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 use abe_sync::{GraphSynchronizer, IrSync};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};

@@ -12,9 +12,9 @@
 
 use abe_core::Topology;
 use abe_stats::{best_growth, fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 use abe_sync::{IrSync, SyncRunner};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};

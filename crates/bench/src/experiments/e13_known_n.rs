@@ -21,8 +21,8 @@ use abe_core::{NetworkBuilder, Topology};
 use abe_election::{AbeElection, ElectionState};
 use abe_sim::RunLimits;
 use abe_stats::Table;
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 /// Outcome of one mis-specified run.

@@ -16,14 +16,14 @@
 
 use abe_core::fault::FaultPlan;
 use abe_core::OutcomeClass;
-use abe_election::{run_abe_calibrated, RingKind};
+use abe_election::{run_abe_calibrated, RingConfig, RingKind};
 use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
-use super::ring;
+use super::substrate;
 
 /// Activation budget (expected wake-ups per ring traversal).
 pub const A: f64 = 1.0;
@@ -62,10 +62,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             DOWNTIME * DELTA,
             SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
         );
-        let cfg = ring(ctx, n, DELTA, cell.seed())
-            .kind(kind)
+        let run = substrate(ctx, DELTA, cell.seed())
             .fault(plan)
             .max_events(MAX_EVENTS);
+        let cfg = RingConfig::new(n, run).kind(kind);
         let o = run_abe_calibrated(&cfg, A);
         let class = o.class();
         let mut metrics = CellMetrics::new()

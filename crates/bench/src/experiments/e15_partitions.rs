@@ -18,13 +18,14 @@
 //! arbitrary *slowness* (it only ever waits) but brittle to *loss*.
 
 use abe_core::fault::{EdgeSelector, FaultPlan};
-use abe_core::{NetworkBuilder, OutcomeClass, Topology};
-use abe_sim::RunLimits;
+use abe_core::{OutcomeClass, Topology};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 use abe_sync::{classify_rounds, GraphSynchronizer, Heartbeat};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
+
+use super::substrate;
 
 /// Expected delay bound δ (exponential mean on every edge).
 pub const DELTA: f64 = 1.0;
@@ -66,15 +67,16 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             // (fixed length so the storm axis is comparable across heals).
             plan = plan.delay_storm(EdgeSelector::All, WINDOW_START, WINDOW_START + 8.0, storm);
         }
-        let net =
-            NetworkBuilder::new(Topology::unidirectional_ring(n).expect("n >= 1 by construction"))
-                .delay(abe_core::delay::Exponential::from_mean(DELTA).expect("valid mean"))
-                .seed(cell.seed())
-                .fault(plan)
-                .build(|_| GraphSynchronizer::new(Heartbeat::new(), rounds))
-                .expect("ring configuration is structurally valid");
-        let (report, net) = net.run(RunLimits::events(MAX_EVENTS));
-        let fired: Vec<u64> = net.protocols().map(|p| p.rounds_fired()).collect();
+        let run = substrate(ctx, DELTA, cell.seed())
+            .fault(plan)
+            .max_events(MAX_EVENTS)
+            .run(
+                Topology::unidirectional_ring(n).expect("n >= 1 by construction"),
+                |_| GraphSynchronizer::new(Heartbeat::new(), rounds),
+            )
+            .expect("the fault plan fits the ring");
+        let report = run.report;
+        let fired: Vec<u64> = run.protocols.iter().map(|p| p.rounds_fired()).collect();
         let min = *fired.iter().min().expect("n >= 1");
         let max = *fired.iter().max().expect("n >= 1");
         let class = classify_rounds(fired, rounds);

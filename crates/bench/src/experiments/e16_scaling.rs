@@ -14,13 +14,13 @@
 //! `docs/ARCHITECTURE.md`); the wall-clock side of the same grid lives in
 //! `abe-perf`'s `ring_election` suite.
 
-use abe_election::run_abe_calibrated;
+use abe_election::{run_abe_calibrated, RingConfig};
 use abe_stats::{best_growth, fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
-use super::{election_stats, ring};
+use super::{election_stats, substrate};
 
 /// Activation budget: expected wake-ups per ring traversal (as in E1/E2).
 pub const A: f64 = 1.0;
@@ -48,7 +48,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         });
     let outcome = ctx.sweep(spec, |cell| {
         let n = cell.u32("n");
-        let cfg = ring(ctx, n, DELTA, cell.seed()).max_events(u64::from(n).saturating_mul(256));
+        let run = substrate(ctx, DELTA, cell.seed()).max_events(u64::from(n).saturating_mul(256));
+        let cfg = RingConfig::new(n, run);
         let o = run_abe_calibrated(&cfg, A);
         CellMetrics::new()
             .metric("msgs_per_n", o.messages as f64 / f64::from(n))

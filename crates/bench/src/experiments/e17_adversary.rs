@@ -27,11 +27,11 @@ use abe_core::delay::Pareto;
 use abe_core::AdversaryPlan;
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{Cell, CellMetrics, SweepSpec};
 
-use crate::sweep::{Cell, CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
-use super::ring;
+use super::substrate;
 
 /// Activation budget (expected wake-ups per ring traversal), as in E1/E2.
 pub const A: f64 = 1.0;
@@ -99,7 +99,8 @@ pub fn cell_config(ctx: &RunCtx, cell: &Cell) -> (RingConfig, f64) {
         budget
     };
     let plan = plan_for(STRATEGIES[cell.idx("strategy")], budget);
-    (ring(ctx, n, DELTA, cell.seed()).adversary(plan), bound)
+    let run = substrate(ctx, DELTA, cell.seed()).adversary(plan);
+    (RingConfig::new(n, run), bound)
 }
 
 /// Runs E17.

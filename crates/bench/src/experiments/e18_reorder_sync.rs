@@ -26,13 +26,15 @@
 //! legal ABE execution.
 
 use abe_adversary::{Burst, Reorder};
-use abe_core::{AdversaryPlan, NetworkBuilder, OutcomeClass, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::{AdversaryPlan, OutcomeClass, Topology};
+use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 use abe_sync::{classify_rounds, GraphSynchronizer, Heartbeat};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
+
+use super::substrate;
 
 /// Oblivious-baseline expected delay δ (exponential mean on every edge).
 pub const DELTA: f64 = 1.0;
@@ -90,15 +92,17 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             }
             _ => AdversaryPlan::new(cell.f64("budget"), Burst::new(BURST_P)).expect("valid budget"),
         };
-        let net = NetworkBuilder::new(topology_for(&shape, dim, cell.seed()))
-            .delay(abe_core::delay::Exponential::from_mean(DELTA).expect("valid mean"))
-            .seed(cell.seed())
+        let run = substrate(ctx, DELTA, cell.seed())
             .adversary(plan)
-            .build(|_| GraphSynchronizer::new(Heartbeat::new(), rounds))
-            .expect("configuration is structurally valid");
-        let (report, net) = net.run(RunLimits::events(MAX_EVENTS));
-        let fired: Vec<u64> = net.protocols().map(|p| p.rounds_fired()).collect();
-        let max_lead = net.protocols().map(|p| p.max_lead()).max().expect("n >= 1");
+            .max_events(MAX_EVENTS)
+            .run(topology_for(&shape, dim, cell.seed()), |_| {
+                GraphSynchronizer::new(Heartbeat::new(), rounds)
+            })
+            .expect("an empty fault plan fits every topology");
+        let report = run.report;
+        let nodes = run.protocols;
+        let fired: Vec<u64> = nodes.iter().map(|p| p.rounds_fired()).collect();
+        let max_lead = nodes.iter().map(|p| p.max_lead()).max().expect("n >= 1");
         let completed = classify_rounds(fired, rounds) == OutcomeClass::Completed;
         let metrics = CellMetrics::new()
             .metric("completed", f64::from(completed))

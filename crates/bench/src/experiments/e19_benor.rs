@@ -21,12 +21,14 @@ use std::sync::Arc;
 
 use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_consensus::{default_faulty, run_benor, ConsensusConfig, InputAssignment};
-use abe_core::delay::{Exponential, Pareto};
+use abe_core::delay::Pareto;
 use abe_core::AdversaryPlan;
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
+
+use super::substrate;
 
 /// Oblivious-baseline expected delay δ (exponential mean on every edge).
 pub const DELTA: f64 = 1.0;
@@ -77,13 +79,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         let n = cell.u32("n");
         let adversarial = cell.idx("strategy") != 0;
         let plan = plan_for(STRATEGIES[cell.idx("strategy")], cell.f64("budget"));
-        let cfg = ConsensusConfig::new(n, default_faulty(n))
-            .delay(Arc::new(
-                Exponential::from_mean(DELTA).expect("valid delta"),
-            ))
-            .seed(cell.seed())
-            .shards(ctx.shards)
-            .adversary(plan);
+        let run = substrate(ctx, DELTA, cell.seed()).adversary(plan);
+        let cfg = ConsensusConfig::new(n, default_faulty(n), run);
         let o = run_benor(&cfg, InputAssignment::Split);
         let metrics = CellMetrics::new().with_consensus(&o);
         if adversarial {

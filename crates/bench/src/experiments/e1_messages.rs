@@ -8,8 +8,8 @@
 
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_stats::{best_growth, fmt_num, Table};
+use abe_sweep::{Cell, CellMetrics, SweepSpec};
 
-use crate::sweep::{Cell, CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};

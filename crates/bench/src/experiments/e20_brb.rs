@@ -18,9 +18,11 @@ use abe_consensus::{run_brb, ConsensusConfig};
 use abe_core::fault::FaultPlan;
 use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
+
+use super::substrate;
 
 /// Expected delay bound δ (exponential mean on every edge).
 pub const DELTA: f64 = 1.0;
@@ -59,11 +61,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             DOWNTIME * DELTA,
             SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
         );
-        let cfg = ConsensusConfig::new(n, f)
-            .seed(cell.seed())
+        let run = substrate(ctx, DELTA, cell.seed())
             .fault(plan)
-            .max_events(MAX_EVENTS)
-            .shards(ctx.shards);
+            .max_events(MAX_EVENTS);
+        let cfg = ConsensusConfig::new(n, f, run);
         let o = run_brb(&cfg, PAYLOAD);
         CellMetrics::new().with_brb(&o).with_faults(&o.report)
     });

@@ -25,9 +25,11 @@ use std::sync::Arc;
 use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
 use abe_statesync::{run_antientropy, SyncConfig};
 use abe_stats::{fit_line, fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
+
+use super::substrate;
 
 /// Expected delay bound δ (every family is calibrated to this mean).
 pub const DELTA: f64 = 1.0;
@@ -67,11 +69,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         .axis_str("delay", &FAMILIES)
         .seeds(reps);
     let outcome = ctx.sweep(spec, |cell| {
-        let cfg = SyncConfig::new(cell.u32("n"), KEY_SPACE)
-            .divergence(cell.f64("divergence"))
-            .delay(delay_for(FAMILIES[cell.idx("delay")]))
-            .seed(cell.seed())
-            .shards(ctx.shards);
+        let run = substrate(ctx, DELTA, cell.seed()).delay(delay_for(FAMILIES[cell.idx("delay")]));
+        let cfg = SyncConfig::new(cell.u32("n"), KEY_SPACE, run).divergence(cell.f64("divergence"));
         let o = run_antientropy(&cfg);
         CellMetrics::new()
             .with_sync(&o)

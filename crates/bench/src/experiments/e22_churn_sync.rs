@@ -23,9 +23,11 @@ use abe_core::AdversaryPlan;
 use abe_sim::SeedStream;
 use abe_statesync::{run_antientropy, SyncConfig};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
+
+use super::substrate;
 
 /// Expected delay bound δ (exponential mean on every edge).
 pub const DELTA: f64 = 1.0;
@@ -83,12 +85,10 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             AdversaryPlan::none()
         };
         let adversarial = budget > 0.0;
-        let cfg = SyncConfig::new(n, KEY_SPACE)
-            .divergence(DIVERGENCE)
-            .seed(cell.seed())
+        let run = substrate(ctx, DELTA, cell.seed())
             .fault(plan)
-            .adversary(adversary)
-            .shards(ctx.shards);
+            .adversary(adversary);
+        let cfg = SyncConfig::new(n, KEY_SPACE, run).divergence(DIVERGENCE);
         let o = run_antientropy(&cfg);
         let metrics = CellMetrics::new()
             .with_sync(&o)

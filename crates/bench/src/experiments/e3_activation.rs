@@ -20,8 +20,8 @@
 
 use abe_election::{run_abe, run_abe_calibrated};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};

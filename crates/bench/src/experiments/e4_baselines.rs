@@ -10,8 +10,8 @@
 
 use abe_election::{run_abe_calibrated, run_chang_roberts, run_itai_rodeh, run_peterson};
 use abe_stats::{best_growth, fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};

@@ -14,11 +14,12 @@
 use std::sync::Arc;
 
 use abe_core::delay::{DelayModel, Retransmission};
+use abe_core::RunConfig;
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::election_stats;
@@ -50,10 +51,11 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         }
 
         // One election over this channel: δ = slot/p.
-        let cfg = RingConfig::new(election_n)
+        let run = RunConfig::new()
             .delay(Arc::new(model))
-            .seed(cell.seed());
-        let o = run_abe_calibrated(&cfg, A);
+            .seed(cell.seed())
+            .shards(ctx.shards);
+        let o = run_abe_calibrated(&RingConfig::new(election_n, run), A);
         CellMetrics::new()
             .metric("attempts_mean", attempts.mean())
             .metric("delay_mean", delay.mean())

@@ -16,9 +16,9 @@ use abe_core::delay::Exponential;
 use abe_core::{NetworkBuilder, Topology};
 use abe_sim::{RunLimits, SeedStream};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 use abe_sync::{GraphSynchronizer, Heartbeat};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 /// The topology axis, in presentation order.

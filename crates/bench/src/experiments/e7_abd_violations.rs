@@ -17,9 +17,9 @@ use abe_core::delay::{Bimodal, Exponential, Pareto};
 use abe_core::{NetworkBuilder, Topology};
 use abe_sim::RunLimits;
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 use abe_sync::{abd_counters, AbdSynchronizer, Chatter};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 fn violation_rate(delay: DelayKind, phi: f64, rounds: u64, n: u32, seed: u64) -> (f64, u64, u64) {

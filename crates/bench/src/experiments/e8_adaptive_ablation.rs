@@ -13,8 +13,8 @@
 
 use abe_election::{run_abe_calibrated, run_fixed};
 use abe_stats::{best_growth, fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};

@@ -10,10 +10,11 @@
 use std::sync::Arc;
 
 use abe_core::delay::standard_families;
+use abe_core::RunConfig;
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_stats::{fmt_num, Table};
+use abe_sweep::{CellMetrics, SweepSpec};
 
-use crate::sweep::{CellMetrics, SweepSpec};
 use crate::{ExperimentReport, RunCtx};
 
 use super::election_stats;
@@ -34,10 +35,11 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let spec = SweepSpec::new().axis_str("family", &labels).seeds(reps);
     let outcome = ctx.sweep(spec, |cell| {
         let model = &models[cell.idx("family")];
-        let cfg = RingConfig::new(n)
+        let run = RunConfig::new()
             .delay(Arc::clone(model))
-            .seed(cell.seed());
-        let o = run_abe_calibrated(&cfg, A);
+            .seed(cell.seed())
+            .shards(ctx.shards);
+        let o = run_abe_calibrated(&RingConfig::new(n, run), A);
         CellMetrics::new()
             .metric(
                 "bounded",

@@ -1,6 +1,6 @@
 //! The experiment implementations (one module per `EXPERIMENTS.md` entry).
 //!
-//! Every experiment declares its grid as a [`SweepSpec`](crate::sweep::SweepSpec),
+//! Every experiment declares its grid as a [`SweepSpec`](abe_sweep::SweepSpec),
 //! runs it through the engine via [`RunCtx::sweep`](crate::RunCtx::sweep)
 //! (one simulation per cell, seeded from the cell's grid coordinates), and
 //! derives its table and findings from the per-group aggregates.
@@ -28,23 +28,30 @@ pub mod e7_abd_violations;
 pub mod e8_adaptive_ablation;
 pub mod e9_delay_robustness;
 
+use abe_core::RunConfig;
 use abe_election::RingConfig;
 use abe_stats::Online;
+use abe_sweep::Group;
 
-use crate::sweep::Group;
 use crate::RunCtx;
 
-/// Standard ring configuration used across election experiments:
-/// exponential delay with mean `delta`. Carries the context's shard count
-/// so `--shards N` applies to every election sweep uniformly (reports are
-/// shard-invariant; see `abe_core::shard`).
-pub(crate) fn ring(ctx: &RunCtx, n: u32, delta: f64, seed: u64) -> RingConfig {
-    RingConfig::new(n)
+/// Standard substrate used across experiments: exponential delay with
+/// mean `delta`. Carries the context's shard count so `--shards N`
+/// applies to every sweep uniformly (reports are shard-invariant; see
+/// `abe_core::shard`).
+pub(crate) fn substrate(ctx: &RunCtx, delta: f64, seed: u64) -> RunConfig {
+    RunConfig::new()
         .delay(std::sync::Arc::new(
             abe_core::delay::Exponential::from_mean(delta).expect("valid delta"),
         ))
         .seed(seed)
         .shards(ctx.shards)
+}
+
+/// Standard ring configuration used across election experiments: a
+/// unidirectional ring of `n` nodes on [`substrate`].
+pub(crate) fn ring(ctx: &RunCtx, n: u32, delta: f64, seed: u64) -> RingConfig {
+    RingConfig::new(n, substrate(ctx, delta, seed))
 }
 
 /// Pulls the standard election aggregates out of one sweep group,

@@ -5,7 +5,7 @@
 //! so each experiment below is pinned to a **sentence** of the paper; the
 //! mapping lives in `DESIGN.md` §5.
 //!
-//! Every experiment runs on the parallel deterministic [`sweep`] engine: a
+//! Every experiment runs on the parallel deterministic [`abe_sweep`] engine: a
 //! declarative grid of configuration axes times a seed axis, executed by a
 //! worker pool, with per-cell seeds derived from grid coordinates so the
 //! measured numbers are bit-identical at any `--threads` setting.
@@ -35,7 +35,7 @@ use std::fmt;
 
 use abe_stats::Table;
 
-use sweep::{CellMetrics, SweepOutcome, SweepSpec};
+use abe_sweep::{CellMetrics, SweepOutcome, SweepSpec};
 
 /// How large a sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,14 +120,14 @@ impl RunCtx {
     /// # Panics
     ///
     /// Panics if any cell panics, with the failing cell's grid coordinates
-    /// in the message (see [`sweep::SweepError`]).
+    /// in the message (see [`abe_sweep::SweepError`]).
     pub fn sweep(
         &self,
         spec: SweepSpec,
-        run: impl Fn(&sweep::Cell) -> CellMetrics + Send + Sync,
+        run: impl Fn(&abe_sweep::Cell) -> CellMetrics + Send + Sync,
     ) -> SweepOutcome {
         let spec = spec.base_seed(self.base_seed);
-        sweep::run_sweep(&spec, self.threads, run).unwrap_or_else(|err| panic!("{err}"))
+        abe_sweep::run_sweep(&spec, self.threads, run).unwrap_or_else(|err| panic!("{err}"))
     }
 }
 

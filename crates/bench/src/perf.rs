@@ -40,12 +40,13 @@ use std::time::Instant;
 
 use abe_core::delay::Exponential;
 use abe_core::fault::{EdgeSelector, FaultPlan};
+use abe_core::RunConfig;
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_sim::{EventQueue, EventToken, HeapQueue, QueueStats, SimTime, SplitMix64};
 use abe_statesync::{run_antientropy, SyncConfig};
 use abe_stats::json_f64;
 
-use crate::sweep::json::json_str;
+use abe_sweep::json::json_str;
 
 /// Grid size selector for the perf suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,11 +396,11 @@ fn churn_suite(mode: PerfMode) -> (PerfSuite, ChurnComparison) {
     (suite, comparison)
 }
 
-/// Standard election configuration for the perf suites: exponential mean-1
-/// delays, calibrated activation, seed 1, and an event budget generous
-/// enough that every run terminates by electing a leader.
-fn election_config(n: u32) -> RingConfig {
-    RingConfig::new(n)
+/// Standard substrate for the election perf suites: exponential mean-1
+/// delays, seed 1, and an event budget generous enough that every run
+/// terminates by electing a leader.
+fn election_substrate() -> RunConfig {
+    RunConfig::new()
         .delay(Arc::new(Exponential::from_mean(1.0).expect("valid mean")))
         .seed(1)
         .max_events(200_000_000)
@@ -413,7 +414,7 @@ fn election_suite(mode: PerfMode) -> PerfSuite {
     let mut cells = Vec::new();
     for &n in sizes {
         let started = Instant::now();
-        let outcome = run_abe_calibrated(&election_config(n), 1.0);
+        let outcome = run_abe_calibrated(&RingConfig::new(n, election_substrate()), 1.0);
         let wall = started.elapsed().as_secs_f64();
         assert!(
             outcome.terminated && outcome.leaders == 1,
@@ -557,7 +558,10 @@ fn fault_storm_suite(mode: PerfMode) -> PerfSuite {
         horizon * 0.5,
         8.0,
     );
-    let cfg = election_config(n).fault(plan).max_events(u64::from(n) * 64);
+    let run = election_substrate()
+        .fault(plan)
+        .max_events(u64::from(n) * 64);
+    let cfg = RingConfig::new(n, run);
     let started = Instant::now();
     let outcome = run_abe_calibrated(&cfg, 1.0);
     let wall = started.elapsed().as_secs_f64();
@@ -592,7 +596,7 @@ fn sync_antientropy_suite(mode: PerfMode) -> PerfSuite {
     let cells = key_spaces
         .iter()
         .map(|&key_space| {
-            let cfg = SyncConfig::new(16, key_space).divergence(0.25).seed(1);
+            let cfg = SyncConfig::new(16, key_space, RunConfig::new().seed(1)).divergence(0.25);
             let started = Instant::now();
             let outcome = run_antientropy(&cfg);
             let wall = started.elapsed().as_secs_f64();

@@ -1,13 +1,9 @@
-//! Re-export of the [`abe_sweep`] engine plus the `sweep-v1` document
-//! renderer.
+//! The `sweep-v1` document renderer.
 //!
 //! The engine itself (specs, cells, metrics, `run_sweep`) lives in the
 //! `abe-sweep` crate so that other frontends — most importantly the
 //! `abe-scenario` compiler — can drive it without depending on this
-//! harness. Everything historically reachable as `abe_bench::sweep::*`
-//! still resolves here.
-
-pub use abe_sweep::*;
+//! harness; import it from there.
 
 pub mod json {
     //! Self-describing JSON documents for experiment sweeps.
@@ -16,7 +12,7 @@ pub mod json {
     //! JSON by hand (string primitives come from [`abe_sweep::json`]).
     //! Determinism is part of the format's contract: everything under the
     //! `"sweep"` key is a pure function of the sweep specification (see
-    //! [`SweepOutcome::metrics_json`](super::SweepOutcome::metrics_json)),
+    //! [`SweepOutcome::metrics_json`](abe_sweep::SweepOutcome::metrics_json)),
     //! so two runs with different `--threads` settings differ only in the
     //! `"engine"` block.
     //!
@@ -37,7 +33,7 @@ pub mod json {
     //! }
     //! ```
 
-    pub use abe_sweep::json::{escape, json_str};
+    use abe_sweep::json::json_str;
 
     use crate::ExperimentReport;
 
@@ -76,9 +72,9 @@ pub mod json {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use crate::sweep::{run_sweep, CellMetrics, SweepSpec};
         use crate::ExperimentReport;
         use abe_stats::Table;
+        use abe_sweep::{run_sweep, CellMetrics, SweepSpec};
 
         fn sample_report() -> ExperimentReport {
             let spec = SweepSpec::new().axis_u32("n", &[2, 4]).seeds(2);
@@ -114,7 +110,7 @@ pub mod json {
         #[test]
         fn sweep_block_is_thread_count_independent() {
             let spec = SweepSpec::new().axis_u32("n", &[2, 4]).seeds(3);
-            let run = |cell: &crate::sweep::Cell| {
+            let run = |cell: &abe_sweep::Cell| {
                 CellMetrics::new().metric("m", f64::from(cell.u32("n")) + cell.rep() as f64)
             };
             let a = run_sweep(&spec, 1, run).unwrap();

@@ -22,10 +22,10 @@
 use std::fmt::Write as _;
 
 use abe_core::{NetworkReport, Recording, RunRecorder};
+use abe_sweep::{Cell, SweepSpec};
 use abe_telemetry::{json_str, render_header, validate_trace, JsonlSink, TraceAnalysis};
 
 use crate::experiments::{e17_adversary, e1_messages};
-use crate::sweep::{Cell, SweepSpec};
 use crate::RunCtx;
 
 use abe_election::run_abe_calibrated;
@@ -73,9 +73,7 @@ pub struct TraceableExperiment {
 
 fn e1_cell(ctx: &RunCtx, cell: &Cell, record: Option<Recording>) -> TracedRun {
     let mut cfg = e1_messages::cell_config(ctx, cell);
-    if let Some(r) = record {
-        cfg = cfg.record(r);
-    }
+    cfg.run.record = record;
     let o = run_abe_calibrated(&cfg, e1_messages::A);
     TracedRun {
         report: o.report,
@@ -87,9 +85,7 @@ fn e1_cell(ctx: &RunCtx, cell: &Cell, record: Option<Recording>) -> TracedRun {
 
 fn e17_cell(ctx: &RunCtx, cell: &Cell, record: Option<Recording>) -> TracedRun {
     let (mut cfg, bound) = e17_adversary::cell_config(ctx, cell);
-    if let Some(r) = record {
-        cfg = cfg.record(r);
-    }
+    cfg.run.record = record;
     let o = run_abe_calibrated(&cfg, e17_adversary::A);
     let audited = (cell.idx("strategy") != 0).then_some(o.report.adversary.max_edge_mean);
     TracedRun {

@@ -15,10 +15,11 @@
 //! the `trace --check` CI job; this file covers the sweep-level story.
 
 use abe_bench::experiments::e1_messages;
-use abe_bench::sweep::{self, run_sweep, Cell, CellMetrics};
+use abe_bench::sweep;
 use abe_bench::{trace_cli, RunCtx, Scale};
 use abe_core::Recording;
 use abe_election::run_abe_calibrated;
+use abe_sweep::{run_sweep, Cell, CellMetrics};
 
 /// Removes the run-specific `"engine":{...},` stanza (flat object — no
 /// nested braces) so the rest of the document is a pure function of the
@@ -53,9 +54,7 @@ fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
     let spec = || e1_messages::spec(&ctx).telemetry(Recording::ring(0).histograms(true));
     let run_cell = |cell: &Cell| {
         let mut cfg = e1_messages::cell_config(&ctx, cell);
-        if let Some(r) = cell.recording() {
-            cfg = cfg.record(r.clone());
-        }
+        cfg.run.record = cell.recording().cloned();
         let o = run_abe_calibrated(&cfg, e1_messages::A);
         let mut metrics = CellMetrics::new().with_election(&o);
         if let Some(h) = o.telemetry.as_deref().and_then(|r| r.histograms()) {

@@ -5,8 +5,8 @@
 //! leak into it — and a panicking cell fails the sweep with its grid
 //! coordinates in the error.
 
-use abe_bench::sweep::{run_sweep, CellMetrics, SweepError, SweepSpec};
 use abe_bench::{experiments, RunCtx, Scale};
+use abe_sweep::{run_sweep, CellMetrics, SweepError, SweepSpec};
 
 /// A minimal recursive-descent JSON syntax checker (no serde in the
 /// container). Returns the remaining input on success.
@@ -124,7 +124,7 @@ fn toy_spec() -> SweepSpec {
         .base_seed(3)
 }
 
-fn toy_run(cell: &abe_bench::sweep::Cell) -> CellMetrics {
+fn toy_run(cell: &abe_sweep::Cell) -> CellMetrics {
     // Deterministic in (coordinates, derived seed); includes quotes and
     // unicode-hostile metric values via the string axis path elsewhere.
     let v = f64::from(cell.u32("n")) * cell.f64("p") + (cell.seed() % 101) as f64;
@@ -253,8 +253,7 @@ mod adversary_regression {
 
     use super::*;
     use abe_bench::experiments::{e17_adversary, e18_reorder_sync};
-    use abe_bench::sweep::CellMetrics;
-    use abe_core::AdversaryPlan;
+    use abe_core::{AdversaryPlan, RunConfig};
     use abe_election::{run_abe_calibrated, RingConfig};
     use std::sync::Arc;
 
@@ -268,15 +267,18 @@ mod adversary_regression {
         // invisible to the JSON, byte for byte.
         let spec = SweepSpec::new().axis_u32("n", &[8, 16, 64]).seeds(10);
         let replayed = run_sweep(&spec, 1, |cell| {
-            let cfg = RingConfig::new(cell.u32("n"))
-                .delay(Arc::new(
-                    abe_core::delay::Exponential::from_mean(
-                        abe_bench::experiments::e1_messages::DELTA,
-                    )
-                    .unwrap(),
-                ))
-                .seed(cell.seed())
-                .adversary(AdversaryPlan::none());
+            let cfg = RingConfig::new(
+                cell.u32("n"),
+                RunConfig::new()
+                    .delay(Arc::new(
+                        abe_core::delay::Exponential::from_mean(
+                            abe_bench::experiments::e1_messages::DELTA,
+                        )
+                        .unwrap(),
+                    ))
+                    .seed(cell.seed())
+                    .adversary(AdversaryPlan::none()),
+            );
             let o = run_abe_calibrated(&cfg, abe_bench::experiments::e1_messages::A);
             CellMetrics::new()
                 .metric("knockouts", o.report.counter("knockouts") as f64)
@@ -598,8 +600,8 @@ mod fault_regression {
 
     use super::*;
     use abe_bench::experiments::{e14_crash_churn, e15_partitions};
-    use abe_bench::sweep::CellMetrics;
     use abe_core::fault::FaultPlan;
+    use abe_core::RunConfig;
     use abe_election::{run_abe_calibrated, RingConfig};
     use std::sync::Arc;
 
@@ -612,15 +614,18 @@ mod fault_regression {
         // the fault layer without faults is invisible to the JSON.
         let spec = SweepSpec::new().axis_u32("n", &[8, 16, 64]).seeds(10);
         let replayed = run_sweep(&spec, 1, |cell| {
-            let cfg = RingConfig::new(cell.u32("n"))
-                .delay(Arc::new(
-                    abe_core::delay::Exponential::from_mean(
-                        abe_bench::experiments::e1_messages::DELTA,
-                    )
-                    .unwrap(),
-                ))
-                .seed(cell.seed())
-                .fault(FaultPlan::new());
+            let cfg = RingConfig::new(
+                cell.u32("n"),
+                RunConfig::new()
+                    .delay(Arc::new(
+                        abe_core::delay::Exponential::from_mean(
+                            abe_bench::experiments::e1_messages::DELTA,
+                        )
+                        .unwrap(),
+                    ))
+                    .seed(cell.seed())
+                    .fault(FaultPlan::new()),
+            );
             let o = run_abe_calibrated(&cfg, abe_bench::experiments::e1_messages::A);
             CellMetrics::new()
                 .metric("knockouts", o.report.counter("knockouts") as f64)

@@ -16,9 +16,9 @@
 //!   quorums, `n > 3f`);
 //! * [`BvBroadcast`] — BV-broadcast, the binary-value flood underneath
 //!   signature-free Byzantine consensus (`n > 3f`);
-//! * [`runner`] — [`ConsensusConfig`] (the complete-graph analogue of
-//!   `abe_election::RingConfig`) plus one-call runners whose outcomes
-//!   classify as [`Decided`](abe_core::fault::OutcomeClass::Decided) /
+//! * [`runner`] — [`ConsensusConfig`] (`n`, `f` and the shared
+//!   [`abe_core::RunConfig`] substrate) plus one-call runners whose
+//!   outcomes classify as [`Decided`](abe_core::fault::OutcomeClass::Decided) /
 //!   [`Stalled`](abe_core::fault::OutcomeClass::Stalled) /
 //!   [`AgreementViolation`](abe_core::fault::OutcomeClass::AgreementViolation) /
 //!   [`ValidityViolation`](abe_core::fault::OutcomeClass::ValidityViolation).
@@ -34,8 +34,9 @@
 //! ```
 //! use abe_consensus::{run_benor, ConsensusConfig, InputAssignment};
 //! use abe_core::fault::OutcomeClass;
+//! use abe_core::RunConfig;
 //!
-//! let cfg = ConsensusConfig::new(7, 2).seed(11);
+//! let cfg = ConsensusConfig::new(7, 2, RunConfig::new().seed(11));
 //! let outcome = run_benor(&cfg, InputAssignment::Split);
 //! assert_eq!(outcome.class(), OutcomeClass::Decided);
 //! // Everyone who decided agrees, and the value was someone's input.
@@ -66,13 +67,14 @@ mod tests {
 
     use abe_core::delay::Uniform;
     use abe_core::fault::{FaultPlan, OutcomeClass};
+    use abe_core::{Recording, RunConfig};
 
     use super::*;
 
     #[test]
     fn unanimous_benor_decides_the_common_input_in_round_one() {
         for value in [false, true] {
-            let cfg = ConsensusConfig::new(5, 1).seed(3);
+            let cfg = ConsensusConfig::new(5, 1, RunConfig::new().seed(3));
             let o = run_benor(&cfg, InputAssignment::Unanimous(value));
             assert_eq!(o.class(), OutcomeClass::Decided);
             assert_eq!(o.decided_count(), 5);
@@ -85,7 +87,7 @@ mod tests {
     #[test]
     fn split_benor_decides_a_single_proposed_value() {
         for seed in 0..8 {
-            let cfg = ConsensusConfig::new(6, 2).seed(seed);
+            let cfg = ConsensusConfig::new(6, 2, RunConfig::new().seed(seed));
             let o = run_benor(&cfg, InputAssignment::Split);
             assert_eq!(o.class(), OutcomeClass::Decided, "seed {seed}");
             let decided: Vec<bool> = o.decisions.iter().flatten().copied().collect();
@@ -97,7 +99,7 @@ mod tests {
 
     #[test]
     fn benor_is_deterministic_for_a_fixed_seed() {
-        let cfg = ConsensusConfig::new(7, 2).seed(42);
+        let cfg = ConsensusConfig::new(7, 2, RunConfig::new().seed(42));
         let a = run_benor(&cfg, InputAssignment::Split);
         let b = run_benor(&cfg, InputAssignment::Split);
         assert_eq!(a.report, b.report);
@@ -107,7 +109,7 @@ mod tests {
 
     #[test]
     fn singleton_network_decides_its_own_input() {
-        let cfg = ConsensusConfig::new(1, 0);
+        let cfg = ConsensusConfig::new(1, 0, RunConfig::new());
         let o = run_benor(&cfg, InputAssignment::Unanimous(true));
         assert_eq!(o.class(), OutcomeClass::Decided);
         assert_eq!(o.decisions, vec![Some(true)]);
@@ -115,7 +117,7 @@ mod tests {
 
     #[test]
     fn brb_delivers_the_broadcast_payload_everywhere() {
-        let cfg = ConsensusConfig::new(7, 2).seed(5);
+        let cfg = ConsensusConfig::new(7, 2, RunConfig::new().seed(5));
         let o = run_brb(&cfg, 0xC0FFEE);
         assert_eq!(o.class(), OutcomeClass::Decided);
         assert_eq!(o.delivered_count(), 7);
@@ -132,7 +134,7 @@ mod tests {
         let mut decided = 0;
         for seed in 0..10 {
             let plan = FaultPlan::churn(6, 4, 8.0, 50.0, seed);
-            let cfg = ConsensusConfig::new(6, 1).seed(seed).fault(plan);
+            let cfg = ConsensusConfig::new(6, 1, RunConfig::new().seed(seed).fault(plan));
             let o = run_brb(&cfg, 77);
             let class = o.class();
             assert!(
@@ -150,9 +152,8 @@ mod tests {
 
     #[test]
     fn bv_broadcast_converges_on_the_input_set() {
-        let cfg = ConsensusConfig::new(7, 2)
-            .seed(9)
-            .delay(Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds")));
+        let delay = Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds"));
+        let cfg = ConsensusConfig::new(7, 2, RunConfig::new().seed(9).delay(delay));
         let o = run_bv(&cfg, InputAssignment::Split);
         assert_eq!(o.class(), OutcomeClass::Decided);
         // Crash-free quiescent run: every node binned the same set, and
@@ -165,10 +166,30 @@ mod tests {
 
     #[test]
     fn bv_unanimous_bins_exactly_the_single_input() {
-        let cfg = ConsensusConfig::new(4, 1).seed(2);
+        let cfg = ConsensusConfig::new(4, 1, RunConfig::new().seed(2));
         let o = run_bv(&cfg, InputAssignment::Unanimous(true));
         assert_eq!(o.class(), OutcomeClass::Decided);
         assert!(o.bin_values.iter().all(|&set| set == (false, true)));
+    }
+
+    #[test]
+    fn recorded_brb_and_bv_runs_return_their_telemetry_unperturbed() {
+        let plain = ConsensusConfig::new(7, 2, RunConfig::new().seed(5));
+        let recorded =
+            ConsensusConfig::new(7, 2, RunConfig::new().seed(5).record(Recording::full()));
+
+        let (a, b) = (run_brb(&plain, 9), run_brb(&recorded, 9));
+        assert!(a.telemetry.is_none());
+        assert!(!b.telemetry.as_deref().expect("recording was on").is_empty());
+        assert_eq!(a.report, b.report);
+
+        let (a, b) = (
+            run_bv(&plain, InputAssignment::Split),
+            run_bv(&recorded, InputAssignment::Split),
+        );
+        assert!(a.telemetry.is_none());
+        assert!(!b.telemetry.as_deref().expect("recording was on").is_empty());
+        assert_eq!(a.report, b.report);
     }
 
     #[test]
@@ -183,14 +204,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "n > 2f")]
     fn benor_rejects_insufficient_resilience() {
-        let cfg = ConsensusConfig::new(4, 2);
+        let cfg = ConsensusConfig::new(4, 2, RunConfig::new());
         let _ = run_benor(&cfg, InputAssignment::Split);
     }
 
     #[test]
     #[should_panic(expected = "n > 3f")]
     fn brb_rejects_insufficient_resilience() {
-        let cfg = ConsensusConfig::new(6, 2);
+        let cfg = ConsensusConfig::new(6, 2, RunConfig::new());
         let _ = run_brb(&cfg, 1);
     }
 }

@@ -6,14 +6,9 @@
 //! as a quorum, which runs are violations) live in exactly one place —
 //! mirroring [`abe_election`'s runners](https://docs.rs) for rings.
 
-use std::sync::Arc;
-
-use abe_core::adversary::AdversaryPlan;
-use abe_core::clock::ClockSpec;
-use abe_core::delay::{Exponential, SharedDelay};
-use abe_core::fault::{FaultPlan, OutcomeClass};
-use abe_core::{NetworkBuilder, NetworkReport, Recording, RunRecorder, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::fault::OutcomeClass;
+use abe_core::{NetworkReport, Protocol, Run, RunConfig, RunRecorder, Topology};
+use abe_sim::SeedStream;
 
 use crate::benor::{BenOr, COIN_DOMAIN};
 use crate::brb::Brb;
@@ -33,7 +28,8 @@ pub fn default_faulty(n: u32) -> u32 {
     n.saturating_sub(1) / 3
 }
 
-/// Configuration of one consensus run on the complete graph `K_n`.
+/// Configuration of one consensus run on the complete graph `K_n`: the
+/// quorum parameters, and the substrate the run executes on.
 #[derive(Debug, Clone)]
 pub struct ConsensusConfig {
     /// Node count `n ≥ 1`.
@@ -41,150 +37,38 @@ pub struct ConsensusConfig {
     /// Declared fault budget `f` (quorum sizes derive from it; protocol
     /// runners assert their own resilience bound against it).
     pub f: u32,
-    /// Delay model applied to every edge.
-    pub delay: SharedDelay,
-    /// Clock population (defaults to perfect clocks).
-    pub clocks: ClockSpec,
-    /// Master seed for the run.
-    pub seed: u64,
-    /// FIFO channels (defaults to `false`: arbitrary reordering).
-    pub fifo: bool,
-    /// Event budget; runs exceeding it are classified as stalled.
-    pub max_events: u64,
-    /// Optional virtual-time horizon (seconds).
-    pub max_time: Option<f64>,
-    /// Fault-injection plan (defaults to empty: no faults).
-    pub fault: FaultPlan,
-    /// Scheduling-adversary plan (defaults to empty: oblivious delays).
-    pub adversary: AdversaryPlan,
-    /// Shard count for deterministic parallel execution (defaults to 1).
-    pub shards: u32,
-    /// Optional telemetry recording budget (defaults to `None`: no
-    /// recording). Recording never perturbs the run; the Ben-Or runner
-    /// exposes the captured recorder on
-    /// [`ConsensusOutcome::telemetry`].
-    pub record: Option<Recording>,
+    /// The substrate: delays, clocks, seed, faults, adversary, limits,
+    /// shards, recording.
+    pub run: RunConfig,
 }
 
 impl ConsensusConfig {
-    /// A complete graph of size `n` with fault budget `f`, exponential
-    /// delays of mean 1, and defaults everywhere else.
+    /// A complete graph of size `n` with fault budget `f` on the
+    /// substrate `run`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `f ≥ n`.
-    pub fn new(n: u32, f: u32) -> Self {
+    pub fn new(n: u32, f: u32, run: RunConfig) -> Self {
         assert!(n >= 1, "network size must be at least 1");
         assert!(f < n, "fault budget f={f} must be below n={n}");
-        Self {
-            n,
-            f,
-            delay: Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            clocks: ClockSpec::perfect(),
-            seed: 0,
-            fifo: false,
-            max_events: 5_000_000,
-            max_time: None,
-            fault: FaultPlan::new(),
-            adversary: AdversaryPlan::none(),
-            shards: 1,
-            record: None,
-        }
+        Self { n, f, run }
     }
 
-    /// Replaces the delay model.
-    pub fn delay(mut self, delay: SharedDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the clock specification.
-    pub fn clocks(mut self, clocks: ClockSpec) -> Self {
-        self.clocks = clocks;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables FIFO channels.
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
-
-    /// Installs a fault-injection plan for the run.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a budgeted scheduling-adversary plan for the run.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Replaces the event budget (stall detection under heavy churn).
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Caps the run at a virtual-time horizon (seconds).
+    /// Runs one `factory(node_id)` protocol per node of `K_n`.
     ///
     /// # Panics
     ///
-    /// Panics if `max_time` is not finite and non-negative.
-    #[track_caller]
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        assert!(
-            max_time.is_finite() && max_time >= 0.0,
-            "max_time must be finite and non-negative, got {max_time}"
-        );
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Sets the shard count for deterministic parallel execution (see
-    /// [`abe_core::shard`]); `1` (the default) runs sequentially.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables telemetry recording for the run (see
-    /// [`abe_core::Recording`]).
-    pub fn record(mut self, record: Recording) -> Self {
-        self.record = Some(record);
-        self
-    }
-
-    fn builder(&self) -> NetworkBuilder {
+    /// Panics if the fault plan names a node or edge `K_n` does not have.
+    fn execute<P>(&self, mut factory: impl FnMut(u32) -> P) -> Run<P>
+    where
+        P: Protocol + Clone + Send,
+        P::Message: Send,
+    {
         let topo = Topology::complete(self.n).expect("n >= 1 was validated");
-        let builder = NetworkBuilder::new(topo)
-            .delay_shared(Arc::clone(&self.delay))
-            .clocks(self.clocks)
-            .fifo(self.fifo)
-            .seed(self.seed)
-            .fault(self.fault.clone())
-            .adversary(self.adversary.clone())
-            .shards(self.shards);
-        match &self.record {
-            Some(r) => builder.record(r.clone()),
-            None => builder,
-        }
-    }
-
-    fn limits(&self) -> RunLimits {
-        let limits = RunLimits::events(self.max_events);
-        match self.max_time {
-            Some(t) => limits.with_max_time(abe_sim::SimTime::from_secs(t)),
-            None => limits,
-        }
+        self.run
+            .run(topo, |i| factory(i as u32))
+            .expect("the fault plan must fit the complete graph")
     }
 }
 
@@ -210,23 +94,6 @@ impl InputAssignment {
     }
 }
 
-/// Runs `net` under the config's limits, sharded when the config asks for
-/// it — the single place deciding sequential vs parallel execution.
-fn execute<P>(
-    cfg: &ConsensusConfig,
-    net: abe_core::Network<P>,
-) -> (NetworkReport, abe_core::Network<P>)
-where
-    P: abe_core::Protocol + Clone + Send,
-    P::Message: Send,
-{
-    if cfg.shards > 1 {
-        net.run_sharded(cfg.limits())
-    } else {
-        net.run(cfg.limits())
-    }
-}
-
 /// Measured outcome of one Ben-Or run.
 #[derive(Debug, Clone)]
 pub struct ConsensusOutcome {
@@ -246,8 +113,7 @@ pub struct ConsensusOutcome {
     pub time: f64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
-    /// Captured telemetry, when [`ConsensusConfig::record`] enabled
-    /// recording.
+    /// Captured telemetry, when [`RunConfig::record`] enabled recording.
     pub telemetry: Option<Box<RunRecorder>>,
 }
 
@@ -295,24 +161,18 @@ impl ConsensusOutcome {
 ///
 /// Panics unless `n > 2f` (the crash-consensus resilience bound).
 pub fn run_benor(cfg: &ConsensusConfig, inputs: InputAssignment) -> ConsensusOutcome {
-    let coins = SeedStream::new(cfg.seed);
+    let coins = SeedStream::new(cfg.run.seed);
     let (n, f) = (cfg.n, cfg.f);
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            BenOr::new(
-                i,
-                n,
-                f,
-                inputs.input(i),
-                coins.stream(COIN_DOMAIN, u64::from(i)),
-            )
-        })
-        .expect("complete-graph configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let telemetry = net.take_telemetry();
-    let nodes = net.into_protocols();
+    let run = cfg.execute(|i| {
+        BenOr::new(
+            i,
+            n,
+            f,
+            inputs.input(i),
+            coins.stream(COIN_DOMAIN, u64::from(i)),
+        )
+    });
+    let nodes = &run.protocols;
     ConsensusOutcome {
         n,
         f,
@@ -320,9 +180,9 @@ pub fn run_benor(cfg: &ConsensusConfig, inputs: InputAssignment) -> ConsensusOut
         decisions: nodes.iter().map(|p| p.decision()).collect(),
         rounds: nodes.iter().map(|p| p.round()).collect(),
         decide_events: nodes.iter().map(|p| p.decide_events()).collect(),
-        time: report.end_time.as_secs(),
-        report,
-        telemetry,
+        time: run.report.end_time.as_secs(),
+        report: run.report,
+        telemetry: run.telemetry,
     }
 }
 
@@ -347,6 +207,8 @@ pub struct BrbOutcome {
     pub time: f64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
+    /// Captured telemetry, when [`RunConfig::record`] enabled recording.
+    pub telemetry: Option<Box<RunRecorder>>,
 }
 
 impl BrbOutcome {
@@ -395,12 +257,8 @@ impl BrbOutcome {
 /// Panics unless `n > 3f` (the Byzantine quorum bound).
 pub fn run_brb(cfg: &ConsensusConfig, payload: u32) -> BrbOutcome {
     let (n, f) = (cfg.n, cfg.f);
-    let net = cfg
-        .builder()
-        .build(|i| Brb::new(i as u32, n, f, (i == 0).then_some(payload)))
-        .expect("complete-graph configuration is structurally valid");
-    let (report, net) = execute(cfg, net);
-    let nodes = net.into_protocols();
+    let run = cfg.execute(|i| Brb::new(i, n, f, (i == 0).then_some(payload)));
+    let nodes = &run.protocols;
     BrbOutcome {
         n,
         f,
@@ -409,8 +267,9 @@ pub fn run_brb(cfg: &ConsensusConfig, payload: u32) -> BrbOutcome {
         delivered_at: nodes.iter().map(|p| p.delivered_at()).collect(),
         deliver_events: nodes.iter().map(|p| p.deliver_events()).collect(),
         mismatched: nodes.iter().any(|p| p.mismatched()),
-        time: report.end_time.as_secs(),
-        report,
+        time: run.report.end_time.as_secs(),
+        report: run.report,
+        telemetry: run.telemetry,
     }
 }
 
@@ -429,6 +288,8 @@ pub struct BvOutcome {
     pub time: f64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
+    /// Captured telemetry, when [`RunConfig::record`] enabled recording.
+    pub telemetry: Option<Box<RunRecorder>>,
 }
 
 impl BvOutcome {
@@ -474,21 +335,15 @@ impl BvOutcome {
 /// Panics unless `n > 3f` (the Byzantine quorum bound).
 pub fn run_bv(cfg: &ConsensusConfig, inputs: InputAssignment) -> BvOutcome {
     let (n, f) = (cfg.n, cfg.f);
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            BvBroadcast::new(i, n, f, inputs.input(i))
-        })
-        .expect("complete-graph configuration is structurally valid");
-    let (report, net) = execute(cfg, net);
-    let nodes = net.into_protocols();
+    let run = cfg.execute(|i| BvBroadcast::new(i, n, f, inputs.input(i)));
+    let nodes = &run.protocols;
     BvOutcome {
         n,
         f,
         inputs: nodes.iter().map(|p| p.input()).collect(),
         bin_values: nodes.iter().map(|p| p.bin_values()).collect(),
-        time: report.end_time.as_secs(),
-        report,
+        time: run.report.end_time.as_secs(),
+        report: run.report,
+        telemetry: run.telemetry,
     }
 }

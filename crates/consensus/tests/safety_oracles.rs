@@ -29,6 +29,7 @@ use abe_consensus::{
 use abe_core::adversary::AdversaryPlan;
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform};
 use abe_core::fault::{FaultPlan, OutcomeClass};
+use abe_core::RunConfig;
 
 /// The delay regimes the grids draw from: zero lookahead (exponential),
 /// positive lookahead (uniform), and tie-heavy (deterministic).
@@ -67,15 +68,15 @@ fn grid_config(
     strategy: usize,
     budget: f64,
 ) -> ConsensusConfig {
-    let mut cfg = ConsensusConfig::new(n, f)
+    let mut run = RunConfig::new()
         .seed(seed)
         .delay(delay)
         .adversary(plan_for(strategy, budget))
         .max_events(400_000);
     if churn_events > 0 {
-        cfg = cfg.fault(FaultPlan::churn(n, churn_events, 30.0, 6.0, seed));
+        run = run.fault(FaultPlan::churn(n, churn_events, 30.0, 6.0, seed));
     }
-    cfg
+    ConsensusConfig::new(n, f, run)
 }
 
 /// Agreement + validity + integrity for a Ben-Or run; returns the class
@@ -172,10 +173,14 @@ fn fault_free_benor_always_decides_totally() {
             .enumerate()
             {
                 let seed = (strategy * 100 + s) as u64;
-                let cfg = ConsensusConfig::new(7, 2)
-                    .seed(seed)
-                    .adversary(plan_for(strategy, budget))
-                    .max_events(400_000);
+                let cfg = ConsensusConfig::new(
+                    7,
+                    2,
+                    RunConfig::new()
+                        .seed(seed)
+                        .adversary(plan_for(strategy, budget))
+                        .max_events(400_000),
+                );
                 let o = run_benor(&cfg, inputs);
                 let what = format!("benor strategy={strategy} budget={budget} inputs={inputs:?}");
                 assert_eq!(
@@ -194,10 +199,14 @@ fn fault_free_brb_always_delivers_totally() {
     for strategy in 0..5 {
         for &budget in &[1.0, 4.0] {
             let seed = strategy as u64;
-            let cfg = ConsensusConfig::new(7, 2)
-                .seed(seed)
-                .adversary(plan_for(strategy, budget))
-                .max_events(400_000);
+            let cfg = ConsensusConfig::new(
+                7,
+                2,
+                RunConfig::new()
+                    .seed(seed)
+                    .adversary(plan_for(strategy, budget))
+                    .max_events(400_000),
+            );
             let o = run_brb(&cfg, 424_242);
             let what = format!("brb strategy={strategy} budget={budget}");
             assert_eq!(assert_brb_safe(&o, &what), OutcomeClass::Decided, "{what}");

@@ -369,13 +369,13 @@ impl fmt::Debug for AdversaryRuntime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use abe_sim::SeedStream;
 
     /// Always proposes a fixed delay (test strategy).
     #[derive(Debug, Clone)]
-    struct Constant(f64);
+    pub(crate) struct Constant(pub(crate) f64);
 
     impl Adversary for Constant {
         fn name(&self) -> &'static str {

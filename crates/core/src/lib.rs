@@ -28,7 +28,10 @@
 //!   (Definition 1's adversarial clause) under an enforced per-edge
 //!   expected-delay bound, composed via [`NetworkBuilder::adversary`];
 //! * [`NetworkBuilder`] / [`Network`] — assembly and execution, producing a
-//!   [`NetworkReport`] with message counts and experiment counters.
+//!   [`NetworkReport`] with message counts and experiment counters;
+//! * [`RunConfig`] / [`Run`] — the one run surface the workload crates
+//!   share: the substrate knobs declared once, and `run(topology,
+//!   factory)` from configuration to report, final states and telemetry.
 //!
 //! ## Example: a token circling an ABE ring
 //!
@@ -84,6 +87,7 @@ mod error;
 pub mod fault;
 mod net;
 mod protocol;
+mod run;
 pub mod shard;
 pub mod topology;
 
@@ -95,6 +99,7 @@ pub use error::{BuildError, ClassViolation, InvalidParamError, TopologyError};
 pub use fault::{FaultPlan, FaultStats, OutcomeClass};
 pub use net::{NetEvent, Network, NetworkReport, ShardTiming};
 pub use protocol::{geometric_trials, Ctx, CtxEffects, InPort, Mark, OutPort, Protocol};
+pub use run::{Run, RunConfig};
 pub use topology::Topology;
 
 #[cfg(test)]

@@ -578,10 +578,15 @@ impl<P: Protocol> Network<P> {
 
     /// Consumes the network, returning the protocol states in node order.
     ///
-    /// The allocation-free way to claim a protocol's final state after a
+    /// The clone-free way to claim a protocol's final state after a
     /// run (instead of cloning out of [`Network::node`]).
     pub fn into_protocols(self) -> Vec<P> {
-        self.nodes.into_iter().map(|s| s.proto).collect()
+        // Moved, not collected in place: that would keep the much wider
+        // node array's block around them, which fragments the malloc
+        // arenas over thousands of small runs.
+        let mut protos = Vec::with_capacity(self.nodes.len());
+        protos.extend(self.nodes.into_iter().map(|s| s.proto));
+        protos
     }
 
     /// Messages sent by node `i` so far.

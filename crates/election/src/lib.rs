@@ -25,10 +25,12 @@
 //! ## Example
 //!
 //! ```
+//! use abe_core::RunConfig;
 //! use abe_election::{run_abe_calibrated, RingConfig};
 //!
 //! // A0 calibrated to a/n² — the regime in which the linear bounds hold.
-//! let outcome = run_abe_calibrated(&RingConfig::new(32).seed(7), 1.0);
+//! let cfg = RingConfig::new(32, RunConfig::new().seed(7));
+//! let outcome = run_abe_calibrated(&cfg, 1.0);
 //! assert!(outcome.terminated);
 //! assert_eq!(outcome.leaders, 1);
 //! // Linear message complexity: a small constant per node on average.

@@ -5,14 +5,9 @@
 //! measurement conventions (what counts as "time", when a run is considered
 //! terminated) live in exactly one place.
 
-use std::sync::Arc;
-
-use abe_core::adversary::AdversaryPlan;
-use abe_core::clock::ClockSpec;
-use abe_core::delay::{Exponential, SharedDelay};
-use abe_core::fault::{FaultPlan, OutcomeClass};
-use abe_core::{NetworkBuilder, NetworkReport, Recording, RunRecorder, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::fault::OutcomeClass;
+use abe_core::{NetworkReport, Protocol, RunConfig, RunRecorder, Topology};
+use abe_sim::SeedStream;
 use rand::RngExt;
 
 use crate::abe::AbeElection;
@@ -36,87 +31,32 @@ pub enum RingKind {
     Bidirectional,
 }
 
-/// Configuration of one ring-election run.
+/// Configuration of one ring-election run: the ring, and the substrate it
+/// runs on.
 #[derive(Debug, Clone)]
 pub struct RingConfig {
     /// Ring size `n ≥ 1`.
     pub n: u32,
-    /// Delay model applied to every ring edge.
-    pub delay: SharedDelay,
-    /// Clock population (defaults to perfect clocks).
-    pub clocks: ClockSpec,
-    /// Master seed for the run.
-    pub seed: u64,
-    /// FIFO channels (defaults to `false`: arbitrary reordering).
-    pub fifo: bool,
-    /// Event budget; runs exceeding it report `terminated = false`.
-    pub max_events: u64,
-    /// Optional virtual-time horizon (seconds); `None` runs to the event
-    /// budget, stop, or quiescence.
-    pub max_time: Option<f64>,
     /// Ring orientation (defaults to the paper's unidirectional ring).
     pub kind: RingKind,
-    /// Fault-injection plan (defaults to empty: no faults).
-    pub fault: FaultPlan,
-    /// Scheduling-adversary plan (defaults to empty: oblivious delays).
-    pub adversary: AdversaryPlan,
-    /// Shard count for deterministic parallel execution (defaults to 1:
-    /// sequential). Any value produces an identical [`NetworkReport`];
-    /// see [`abe_core::shard`].
-    pub shards: u32,
-    /// Optional telemetry recording budget (defaults to `None`: no
-    /// recording). Recording never perturbs the run; the captured
-    /// recorder lands on [`ElectionOutcome::telemetry`].
-    pub record: Option<Recording>,
+    /// The substrate: delays, clocks, seed, faults, adversary, limits,
+    /// shards, recording.
+    pub run: RunConfig,
 }
 
 impl RingConfig {
-    /// A ring of size `n` with exponential delays of mean 1 and defaults
-    /// everywhere else.
+    /// A unidirectional ring of size `n` on the substrate `run`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: u32) -> Self {
+    pub fn new(n: u32, run: RunConfig) -> Self {
         assert!(n >= 1, "ring size must be at least 1");
         Self {
             n,
-            delay: Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            clocks: ClockSpec::perfect(),
-            seed: 0,
-            fifo: false,
-            max_events: 5_000_000,
-            max_time: None,
             kind: RingKind::Unidirectional,
-            fault: FaultPlan::new(),
-            adversary: AdversaryPlan::none(),
-            shards: 1,
-            record: None,
+            run,
         }
-    }
-
-    /// Replaces the delay model.
-    pub fn delay(mut self, delay: SharedDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the clock specification.
-    pub fn clocks(mut self, clocks: ClockSpec) -> Self {
-        self.clocks = clocks;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables FIFO channels.
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
     }
 
     /// Sets the ring orientation.
@@ -125,98 +65,42 @@ impl RingConfig {
         self
     }
 
-    /// Installs a fault-injection plan for the run.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a budgeted scheduling-adversary plan for the run.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Replaces the event budget. Fault experiments lower it: a run that
-    /// loses a token can livelock (an Active node with no token in flight
-    /// purges every later token forever), so stalls are detected by
-    /// exhausting the budget rather than by quiescence.
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Caps the run at a virtual-time horizon (seconds). Useful for
-    /// fixed-duration throughput measurements where the run should end at
-    /// `MaxTime` rather than at an election-dependent stop.
+    /// Runs one `factory(node_index)` protocol per ring node and counts
+    /// the nodes `is_leader` accepts when the run ends — the one body
+    /// behind every `run_*` below.
     ///
     /// # Panics
     ///
-    /// Panics if `max_time` is not finite and non-negative.
-    #[track_caller]
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        assert!(
-            max_time.is_finite() && max_time >= 0.0,
-            "max_time must be finite and non-negative, got {max_time}"
-        );
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Sets the shard count for deterministic parallel execution (see
-    /// [`abe_core::shard`]); `1` (the default) runs sequentially.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables telemetry recording for the run (see
-    /// [`abe_core::Recording`]).
-    pub fn record(mut self, record: Recording) -> Self {
-        self.record = Some(record);
-        self
-    }
-
-    fn builder(&self) -> NetworkBuilder {
+    /// Panics if the fault plan names a node or edge the ring does not
+    /// have.
+    fn elect<P>(
+        &self,
+        factory: impl FnMut(usize) -> P,
+        is_leader: impl Fn(&P) -> bool,
+    ) -> ElectionOutcome
+    where
+        P: Protocol + Clone + Send,
+        P::Message: Send,
+    {
         let topo = match self.kind {
             RingKind::Unidirectional => Topology::unidirectional_ring(self.n),
             RingKind::Bidirectional => Topology::bidirectional_ring(self.n),
         }
         .expect("n >= 1 was validated");
-        let builder = NetworkBuilder::new(topo)
-            .delay_shared(Arc::clone(&self.delay))
-            .clocks(self.clocks)
-            .fifo(self.fifo)
-            .seed(self.seed)
-            .fault(self.fault.clone())
-            .adversary(self.adversary.clone())
-            .shards(self.shards);
-        match &self.record {
-            Some(r) => builder.record(r.clone()),
-            None => builder,
+        let run = self
+            .run
+            .run(topo, factory)
+            .expect("the fault plan must fit the ring");
+        let report = run.report;
+        ElectionOutcome {
+            terminated: report.outcome.is_stopped(),
+            leaders: run.protocols.iter().filter(|p| is_leader(p)).count(),
+            messages: report.messages_sent,
+            time: report.end_time.as_secs(),
+            ticks: report.ticks,
+            report,
+            telemetry: run.telemetry,
         }
-    }
-
-    fn limits(&self) -> RunLimits {
-        let limits = RunLimits::events(self.max_events);
-        match self.max_time {
-            Some(t) => limits.with_max_time(abe_sim::SimTime::from_secs(t)),
-            None => limits,
-        }
-    }
-}
-
-/// Runs `net` under the config's limits, sharded when the config asks for
-/// it — the single place deciding sequential vs parallel execution.
-fn execute<P>(cfg: &RingConfig, net: abe_core::Network<P>) -> (NetworkReport, abe_core::Network<P>)
-where
-    P: abe_core::Protocol + Clone + Send,
-    P::Message: Send,
-{
-    if cfg.shards > 1 {
-        net.run_sharded(cfg.limits())
-    } else {
-        net.run(cfg.limits())
     }
 }
 
@@ -235,7 +119,7 @@ pub struct ElectionOutcome {
     pub ticks: u64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
-    /// Captured telemetry, when [`RingConfig::record`] enabled recording:
+    /// Captured telemetry, when [`RunConfig::record`] enabled recording:
     /// retained trace records, seen/dropped counts, optional histograms.
     pub telemetry: Option<Box<RunRecorder>>,
 }
@@ -255,22 +139,6 @@ impl ElectionOutcome {
             _ => OutcomeClass::WrongLeader,
         }
     }
-
-    fn from_report(
-        report: NetworkReport,
-        leaders: usize,
-        telemetry: Option<Box<RunRecorder>>,
-    ) -> Self {
-        Self {
-            terminated: report.outcome.is_stopped(),
-            leaders,
-            messages: report.messages_sent,
-            time: report.end_time.as_secs(),
-            ticks: report.ticks,
-            report,
-            telemetry,
-        }
-    }
 }
 
 /// Runs the paper's §3 algorithm with activation parameter `a0`.
@@ -279,17 +147,10 @@ impl ElectionOutcome {
 ///
 /// Panics if `a0` is outside `(0, 1)` (configuration error in the caller).
 pub fn run_abe(cfg: &RingConfig, a0: f64) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| AbeElection::new(cfg.n, a0).expect("a0 validated by caller"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net
-        .protocols()
-        .filter(|p| p.state() == ElectionState::Leader)
-        .count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| AbeElection::new(cfg.n, a0).expect("a0 validated by caller"),
+        |p| p.state() == ElectionState::Leader,
+    )
 }
 
 /// Runs the paper's §3 algorithm with `A0 = a / n²`, the calibration under
@@ -300,17 +161,10 @@ pub fn run_abe(cfg: &RingConfig, a0: f64) -> ElectionOutcome {
 ///
 /// Panics if `a` is not finite and positive.
 pub fn run_abe_calibrated(cfg: &RingConfig, a: f64) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| AbeElection::calibrated(cfg.n, a).expect("a validated by caller"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net
-        .protocols()
-        .filter(|p| p.state() == ElectionState::Leader)
-        .count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| AbeElection::calibrated(cfg.n, a).expect("a validated by caller"),
+        |p| p.state() == ElectionState::Leader,
+    )
 }
 
 /// Runs the fixed-activation ablation with constant probability `a0`.
@@ -319,57 +173,32 @@ pub fn run_abe_calibrated(cfg: &RingConfig, a: f64) -> ElectionOutcome {
 ///
 /// Panics if `a0` is outside `(0, 1)`.
 pub fn run_fixed(cfg: &RingConfig, a0: f64) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| FixedActivation::new(cfg.n, a0).expect("a0 validated by caller"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net
-        .protocols()
-        .filter(|p| p.state() == ElectionState::Leader)
-        .count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| FixedActivation::new(cfg.n, a0).expect("a0 validated by caller"),
+        |p| p.state() == ElectionState::Leader,
+    )
 }
 
 /// Runs Itai–Rodeh (anonymous asynchronous baseline).
 pub fn run_itai_rodeh(cfg: &RingConfig) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| ItaiRodeh::new(cfg.n).expect("n >= 1 was validated"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net.protocols().filter(|p| p.is_leader()).count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| ItaiRodeh::new(cfg.n).expect("n >= 1 was validated"),
+        ItaiRodeh::is_leader,
+    )
 }
 
 /// Runs Chang–Roberts with a random unique-identity assignment derived
 /// from the config seed.
 pub fn run_chang_roberts(cfg: &RingConfig) -> ElectionOutcome {
-    let ids = random_permutation(cfg.n, cfg.seed);
-    let net = cfg
-        .builder()
-        .build(|i| ChangRoberts::new(ids[i]))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net.protocols().filter(|p| p.is_leader()).count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    let ids = random_permutation(cfg.n, cfg.run.seed);
+    cfg.elect(|i| ChangRoberts::new(ids[i]), ChangRoberts::is_leader)
 }
 
 /// Runs Peterson's algorithm with a random unique-identity assignment
 /// derived from the config seed.
 pub fn run_peterson(cfg: &RingConfig) -> ElectionOutcome {
-    let ids = random_permutation(cfg.n, cfg.seed);
-    let net = cfg
-        .builder()
-        .build(|i| Peterson::new(ids[i]))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net.protocols().filter(|p| p.is_leader()).count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    let ids = random_permutation(cfg.n, cfg.run.seed);
+    cfg.elect(|i| Peterson::new(ids[i]), Peterson::is_leader)
 }
 
 /// A uniformly random permutation of `1..=n` (Fisher–Yates) used as the
@@ -386,11 +215,17 @@ pub fn random_permutation(n: u32, seed: u64) -> Vec<u64> {
 
 #[cfg(test)]
 mod tests {
+    use abe_core::fault::FaultPlan;
+
     use super::*;
+
+    fn ring(n: u32, seed: u64) -> RingConfig {
+        RingConfig::new(n, RunConfig::new().seed(seed))
+    }
 
     #[test]
     fn all_runners_elect_exactly_one_leader() {
-        let cfg = RingConfig::new(8).seed(5);
+        let cfg = ring(8, 5);
         for outcome in [
             run_abe(&cfg, 0.3),
             run_fixed(&cfg, 0.3),
@@ -407,7 +242,7 @@ mod tests {
 
     #[test]
     fn outcome_reflects_report() {
-        let cfg = RingConfig::new(4).seed(1);
+        let cfg = ring(4, 1);
         let o = run_abe(&cfg, 0.5);
         assert_eq!(o.messages, o.report.messages_sent);
         assert_eq!(o.time, o.report.end_time.as_secs());
@@ -429,7 +264,7 @@ mod tests {
 
     #[test]
     fn runs_are_reproducible() {
-        let cfg = RingConfig::new(16).seed(9);
+        let cfg = ring(16, 9);
         let a = run_abe(&cfg, 0.3);
         let b = run_abe(&cfg, 0.3);
         assert_eq!(a.messages, b.messages);
@@ -438,8 +273,8 @@ mod tests {
 
     #[test]
     fn fifo_flag_changes_executions() {
-        let base = RingConfig::new(16).seed(3);
-        let fifo = RingConfig::new(16).seed(3).fifo(true);
+        let base = ring(16, 3);
+        let fifo = RingConfig::new(16, RunConfig::new().seed(3).fifo(true));
         let a = run_itai_rodeh(&base);
         let b = run_itai_rodeh(&fifo);
         // Same seed, different delivery discipline: outcomes are both
@@ -451,13 +286,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_ring_panics() {
-        let _ = RingConfig::new(0);
+        let _ = RingConfig::new(0, RunConfig::new());
     }
 
     #[test]
     fn empty_fault_plan_leaves_runs_bit_identical() {
-        let plain = RingConfig::new(16).seed(21);
-        let faulted = RingConfig::new(16).seed(21).fault(FaultPlan::new());
+        let plain = ring(16, 21);
+        let faulted = RingConfig::new(16, RunConfig::new().seed(21).fault(FaultPlan::new()));
         let a = run_abe_calibrated(&plain, 1.0);
         let b = run_abe_calibrated(&faulted, 1.0);
         assert_eq!(a.report, b.report);
@@ -466,7 +301,7 @@ mod tests {
 
     #[test]
     fn bidirectional_ring_still_elects() {
-        let cfg = RingConfig::new(8).seed(5).kind(RingKind::Bidirectional);
+        let cfg = ring(8, 5).kind(RingKind::Bidirectional);
         let o = run_abe_calibrated(&cfg, 1.0);
         assert_eq!(o.class(), OutcomeClass::Completed);
         assert_eq!(o.leaders, 1);
@@ -474,7 +309,7 @@ mod tests {
 
     #[test]
     fn outcome_class_tracks_leader_count() {
-        let cfg = RingConfig::new(8).seed(5);
+        let cfg = ring(8, 5);
         let mut o = run_abe(&cfg, 0.3);
         assert_eq!(o.class(), OutcomeClass::Completed);
         o.leaders = 0;
@@ -488,8 +323,8 @@ mod tests {
         // Election runs end in a stop request, which the sharded kernel
         // reproduces via exact single-stepping or sequential fallback —
         // either way the report must be identical.
-        let base = RingConfig::new(12).seed(4);
-        let sharded = RingConfig::new(12).seed(4).shards(3);
+        let base = ring(12, 4);
+        let sharded = RingConfig::new(12, RunConfig::new().seed(4).shards(3));
         let pairs = [
             (run_abe(&base, 0.3), run_abe(&sharded, 0.3)),
             (run_itai_rodeh(&base), run_itai_rodeh(&sharded)),
@@ -504,7 +339,7 @@ mod tests {
 
     #[test]
     fn max_time_horizon_caps_the_run() {
-        let cfg = RingConfig::new(8).seed(2).max_time(0.5);
+        let cfg = RingConfig::new(8, RunConfig::new().seed(2).max_time(0.5));
         let o = run_abe_calibrated(&cfg, 1.0);
         // The election needs more than half a second of virtual time; the
         // horizon cuts it off.
@@ -517,10 +352,11 @@ mod tests {
     fn crash_stop_on_a_ring_stalls_the_election() {
         // A permanently dead node breaks the unidirectional ring: every
         // token eventually dies at it, no leader can complete a lap.
-        let cfg = RingConfig::new(8)
+        let run = RunConfig::new()
             .seed(3)
             .fault(FaultPlan::new().crash_stop(4, 0.0))
             .max_events(50_000);
+        let cfg = RingConfig::new(8, run);
         let o = run_abe_calibrated(&cfg, 1.0);
         assert_eq!(o.class(), OutcomeClass::Stalled);
         assert!(!o.terminated);
@@ -534,10 +370,8 @@ mod tests {
         let completed = (0..20)
             .filter(|&seed| {
                 let plan = FaultPlan::churn(16, 2, 32.0, 4.0, seed);
-                let cfg = RingConfig::new(16)
-                    .seed(seed)
-                    .fault(plan)
-                    .max_events(50_000);
+                let run = RunConfig::new().seed(seed).fault(plan).max_events(50_000);
+                let cfg = RingConfig::new(16, run);
                 run_abe_calibrated(&cfg, 1.0).class() == OutcomeClass::Completed
             })
             .count();

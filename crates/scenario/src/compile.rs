@@ -19,7 +19,7 @@ use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_consensus::{default_faulty, run_benor, run_brb, ConsensusConfig, InputAssignment};
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform, Weibull};
 use abe_core::fault::FaultPlan;
-use abe_core::{AdversaryPlan, OutcomeClass};
+use abe_core::{AdversaryPlan, OutcomeClass, RunConfig};
 use abe_election::{
     run_abe, run_abe_calibrated, run_chang_roberts, run_itai_rodeh, run_peterson, ElectionOutcome,
     RingConfig, RingKind,
@@ -748,18 +748,17 @@ impl CompiledScenario {
             })
     }
 
-    /// Builds the cell's ring configuration, exactly as the hand-written
-    /// experiments do: a fault plan is only installed when the scenario
-    /// has a `fault` stanza and an adversary plan only when the resolved
-    /// strategy tampers — an absent stanza leaves the builder defaults,
-    /// which the sweep regression tests prove byte-identical to empty
-    /// plans.
-    fn cell_config(&self, cell: &Cell) -> RingConfig {
-        let n = self.cell_n(cell);
-        let mut cfg = RingConfig::new(n)
+    /// Builds the substrate half of the cell's configuration — delay,
+    /// seed, event budget, shards, churn plan, adversary plan — exactly
+    /// as the hand-written experiments do: a fault plan (seeded with the
+    /// e14 churn idiom) is only installed when the scenario has a `fault`
+    /// stanza and an adversary plan only when a stanza resolves to a
+    /// strategy — an absent stanza leaves the `RunConfig` defaults, which
+    /// the sweep regression tests prove byte-identical to empty plans.
+    fn cell_run(&self, cell: &Cell) -> RunConfig {
+        let mut run = RunConfig::new()
             .delay(self.cell_delay(cell))
             .seed(cell.seed())
-            .kind(self.cell_kind(cell))
             .max_events(self.scenario.max_events)
             .shards(self.shards);
         if let Some(fault) = &self.scenario.fault {
@@ -767,8 +766,8 @@ impl CompiledScenario {
                 Bind::Fixed(v) => v,
                 Bind::Axis => cell.u32("churn"),
             };
-            cfg = cfg.fault(FaultPlan::churn(
-                n,
+            run = run.fault(FaultPlan::churn(
+                self.cell_n(cell),
                 events,
                 fault.horizon,
                 fault.downtime,
@@ -776,9 +775,9 @@ impl CompiledScenario {
             ));
         }
         if let Some(plan) = self.cell_adversary(cell) {
-            cfg = cfg.adversary(plan);
+            run = run.adversary(plan);
         }
-        cfg
+        run
     }
 
     fn run_protocol(&self, cfg: &RingConfig) -> ElectionOutcome {
@@ -797,8 +796,7 @@ impl CompiledScenario {
         }
     }
 
-    /// This cell's adversary plan, when a stanza is present (shared by
-    /// the ring and the complete-graph configuration builders).
+    /// This cell's adversary plan, when a stanza is present.
     fn cell_adversary(&self, cell: &Cell) -> Option<AdversaryPlan> {
         let adv = self.scenario.adversary.as_ref()?;
         let strategy = self.cell_strategy(cell).expect("stanza present");
@@ -822,45 +820,17 @@ impl CompiledScenario {
         })
     }
 
-    /// Builds the cell's complete-graph consensus configuration, exactly
-    /// as the hand-written e19/e20 experiments do: `faulty` defaults to
-    /// the largest legal budget `(n - 1) / 3` derived per cell, the
-    /// fault plan is seeded with the e14 churn idiom, and an adversary
-    /// plan is installed only when a stanza resolves to a strategy.
-    fn cell_consensus_config(&self, cell: &Cell) -> ConsensusConfig {
-        let n = self.cell_n(cell);
-        let f = self.scenario.faulty.unwrap_or_else(|| default_faulty(n));
-        let mut cfg = ConsensusConfig::new(n, f)
-            .delay(self.cell_delay(cell))
-            .seed(cell.seed())
-            .max_events(self.scenario.max_events)
-            .shards(self.shards);
-        if let Some(fault) = &self.scenario.fault {
-            let events = match fault.events {
-                Bind::Fixed(v) => v,
-                Bind::Axis => cell.u32("churn"),
-            };
-            cfg = cfg.fault(FaultPlan::churn(
-                n,
-                events,
-                fault.horizon,
-                fault.downtime,
-                SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
-            ));
-        }
-        if let Some(plan) = self.cell_adversary(cell) {
-            cfg = cfg.adversary(plan);
-        }
-        cfg
-    }
-
     /// Runs one consensus cell: the e19/e20 metric set — outcome-class
     /// indicators plus progress and complexity — with fault telemetry
     /// iff the scenario injects faults and adversary telemetry iff the
     /// cell's resolved strategy tampers, so declarative consensus ports
-    /// stay byte-comparable with their hand-written originals.
+    /// stay byte-comparable with their hand-written originals. As there,
+    /// `faulty` defaults to the largest legal budget `(n - 1) / 3`
+    /// derived per cell.
     fn consensus_metrics(&self, cell: &Cell) -> CellMetrics {
-        let cfg = self.cell_consensus_config(cell);
+        let n = self.cell_n(cell);
+        let f = self.scenario.faulty.unwrap_or_else(|| default_faulty(n));
+        let cfg = ConsensusConfig::new(n, f, self.cell_run(cell));
         let (mut metrics, report) = match self.scenario.protocol {
             ProtocolSpec::Benor => {
                 let o = run_benor(&cfg, InputAssignment::Split);
@@ -881,44 +851,18 @@ impl CompiledScenario {
         metrics
     }
 
-    /// Builds the cell's anti-entropy configuration, exactly as the
-    /// hand-written e21/e22 experiments do: divergence from the
-    /// directive or its axis, the cell's delay family, the e14 churn
-    /// idiom for the fault plan, and an adversary plan only when a
-    /// stanza resolves to a strategy.
+    /// Builds the cell's anti-entropy configuration: divergence from the
+    /// directive or its axis, as in the hand-written e21/e22.
     fn cell_sync_config(&self, cell: &Cell) -> SyncConfig {
         let ProtocolSpec::Antientropy { key_space } = self.scenario.protocol else {
             unreachable!("record sync requires `protocol antientropy`")
         };
-        let n = self.cell_n(cell);
         let divergence = match self.scenario.divergence {
             Some(Bind::Fixed(d)) => d,
             Some(Bind::Axis) => cell.f64("divergence"),
             None => unreachable!("divergence required by compile"),
         };
-        let mut cfg = SyncConfig::new(n, key_space)
-            .divergence(divergence)
-            .delay(self.cell_delay(cell))
-            .seed(cell.seed())
-            .max_events(self.scenario.max_events)
-            .shards(self.shards);
-        if let Some(fault) = &self.scenario.fault {
-            let events = match fault.events {
-                Bind::Fixed(v) => v,
-                Bind::Axis => cell.u32("churn"),
-            };
-            cfg = cfg.fault(FaultPlan::churn(
-                n,
-                events,
-                fault.horizon,
-                fault.downtime,
-                SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
-            ));
-        }
-        if let Some(plan) = self.cell_adversary(cell) {
-            cfg = cfg.adversary(plan);
-        }
-        cfg
+        SyncConfig::new(self.cell_n(cell), key_space, self.cell_run(cell)).divergence(divergence)
     }
 
     /// Runs one anti-entropy cell: the e21/e22 metric set — convergence
@@ -949,7 +893,8 @@ impl CompiledScenario {
         if self.scenario.record == RecordMode::Sync {
             return self.sync_metrics(cell);
         }
-        let cfg = self.cell_config(cell);
+        let cfg =
+            RingConfig::new(self.cell_n(cell), self.cell_run(cell)).kind(self.cell_kind(cell));
         let o = self.run_protocol(&cfg);
         match self.scenario.record {
             RecordMode::Election => {

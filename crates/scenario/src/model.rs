@@ -26,7 +26,7 @@ use std::fmt;
 
 pub use abe_core::fault::OutcomeClass;
 
-/// Default event cap per cell, mirroring the `RingConfig` default so a
+/// Default event cap per cell, mirroring the `RunConfig` default so a
 /// scenario without a `max-events` directive behaves exactly like a
 /// hand-written experiment without `.max_events(..)`.
 pub const DEFAULT_MAX_EVENTS: u64 = 5_000_000;

@@ -23,7 +23,6 @@
 //!   implementations (interfacing with the `rand` traits) so bit streams do
 //!   not depend on `rand`'s internal algorithm choices, plus hierarchical
 //!   seed derivation for per-entity streams.
-//! * [`TraceBuffer`] — bounded execution tracing.
 //!
 //! ## Example
 //!
@@ -61,11 +60,9 @@
 mod queue;
 mod rng;
 mod time;
-mod trace;
 mod world;
 
 pub use queue::{EventQueue, EventToken, HeapQueue, QueueStats};
 pub use rng::{mix64, SeedStream, SplitMix64, Xoshiro256PlusPlus};
 pub use time::{InvalidTimeError, SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceRecord};
 pub use world::{RunLimits, RunOutcome, RunReport, Simulation, StepCtx, World};

@@ -38,7 +38,9 @@ use proptest::prelude::*;
 
 use abe_core::delay::{Bimodal, Deterministic, Exponential, SharedDelay, Uniform};
 use abe_core::fault::{EdgeSelector, FaultPlan};
-use abe_core::{Ctx, InPort, NetworkBuilder, NetworkReport, OutPort, Protocol, Topology};
+use abe_core::{
+    Ctx, InPort, NetworkBuilder, NetworkReport, OutPort, Protocol, RunConfig, Topology,
+};
 use abe_election::{run_abe, run_abe_calibrated, run_itai_rodeh, ElectionOutcome, RingConfig};
 use abe_sim::{RunLimits, RunOutcome, SimTime};
 
@@ -172,8 +174,8 @@ fn elections_match_sequential_for_every_shard_count() {
     // Completed elections end in a stop request — the path that forces
     // either an exact single-step stop or the sequential-replay fallback.
     for shards in [2, 4, 8] {
-        let seq = RingConfig::new(20).seed(5);
-        let par = RingConfig::new(20).seed(5).shards(shards);
+        let seq = RingConfig::new(20, RunConfig::new().seed(5));
+        let par = RingConfig::new(20, RunConfig::new().seed(5).shards(shards));
         assert_outcomes_equal(
             &run_abe_calibrated(&seq, 1.0),
             &run_abe_calibrated(&par, 1.0),
@@ -195,11 +197,15 @@ fn deterministic_churn_matches_sequential() {
         let plan = FaultPlan::churn(18, 3, 40.0, 5.0, seed)
             .drop(EdgeSelector::All, 0.05)
             .delay_storm(EdgeSelector::All, 8.0, 16.0, 4.0);
-        let seq = RingConfig::new(18)
-            .seed(seed)
-            .fault(plan.clone())
-            .max_events(60_000);
-        let par = seq.clone().shards(shards);
+        let seq = RingConfig::new(
+            18,
+            RunConfig::new()
+                .seed(seed)
+                .fault(plan.clone())
+                .max_events(60_000),
+        );
+        let mut par = seq.clone();
+        par.run.shards = shards;
         let a = run_abe_calibrated(&seq, 1.0);
         let b = run_abe_calibrated(&par, 1.0);
         assert_outcomes_equal(&a, &b, &format!("churn, shards={shards}"));
@@ -216,11 +222,15 @@ fn max_time_election_with_positive_lookahead_matches_sequential() {
     // the sharded side takes real parallel windows and ends at MaxTime
     // without ever seeing the stop request.
     for shards in [2, 4, 8] {
-        let seq = RingConfig::new(32)
-            .seed(9)
-            .delay(Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds")))
-            .max_time(6.0);
-        let par = seq.clone().shards(shards);
+        let seq = RingConfig::new(
+            32,
+            RunConfig::new()
+                .seed(9)
+                .delay(Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds")))
+                .max_time(6.0),
+        );
+        let mut par = seq.clone();
+        par.run.shards = shards;
         let a = run_abe(&seq, 0.4);
         let b = run_abe(&par, 0.4);
         assert_eq!(a.report.outcome, RunOutcome::MaxTime);
@@ -250,8 +260,9 @@ fn benor_consensus_matches_sequential_for_every_shard_count() {
     // from per-node SeedStream children, and ends in a stop request once
     // every node halts — all three must survive the shard split.
     for shards in [2, 4, 8] {
-        let seq = abe_consensus::ConsensusConfig::new(7, 2).seed(41);
-        let par = seq.clone().shards(shards);
+        let seq = abe_consensus::ConsensusConfig::new(7, 2, RunConfig::new().seed(41));
+        let mut par = seq.clone();
+        par.run.shards = shards;
         let a = abe_consensus::run_benor(&seq, abe_consensus::InputAssignment::Split);
         let b = abe_consensus::run_benor(&par, abe_consensus::InputAssignment::Split);
         assert_benor_equal(&a, &b, &format!("benor split, shards={shards}"));
@@ -264,11 +275,13 @@ fn benor_under_churn_matches_sequential() {
     // (possibly stalled) decision vectors must merge identically.
     for (shards, seed) in [(2, 1u64), (4, 2), (8, 3)] {
         let plan = FaultPlan::churn(9, 3, 30.0, 6.0, seed);
-        let seq = abe_consensus::ConsensusConfig::new(9, 2)
-            .seed(seed)
-            .fault(plan)
-            .max_events(400_000);
-        let par = seq.clone().shards(shards);
+        let seq = abe_consensus::ConsensusConfig::new(
+            9,
+            2,
+            RunConfig::new().seed(seed).fault(plan).max_events(400_000),
+        );
+        let mut par = seq.clone();
+        par.run.shards = shards;
         let a = abe_consensus::run_benor(&seq, abe_consensus::InputAssignment::Split);
         let b = abe_consensus::run_benor(&par, abe_consensus::InputAssignment::Split);
         assert_benor_equal(&a, &b, &format!("benor churn, shards={shards}"));
@@ -284,8 +297,9 @@ fn reliable_broadcast_matches_sequential_for_every_shard_count() {
     // BRB quiesces on its own (every message is sent at most once): the
     // windowed path with no stop request, on a complete graph.
     for shards in [2, 4, 8] {
-        let seq = abe_consensus::ConsensusConfig::new(10, 3).seed(17);
-        let par = seq.clone().shards(shards);
+        let seq = abe_consensus::ConsensusConfig::new(10, 3, RunConfig::new().seed(17));
+        let mut par = seq.clone();
+        par.run.shards = shards;
         let a = abe_consensus::run_brb(&seq, 0xB10C);
         let b = abe_consensus::run_brb(&par, 0xB10C);
         assert_eq!(a.report, b.report, "brb shards={shards}: reports diverge");
@@ -331,11 +345,11 @@ fn antientropy_sync_matches_sequential_for_every_shard_count() {
     // split — bytes are summed per shard and merged, and must land on
     // the sequential total exactly.
     for shards in [2, 4, 8] {
-        let cfg = abe_statesync::SyncConfig::new(6, 64)
-            .divergence(0.25)
-            .seed(23);
+        let mut cfg =
+            abe_statesync::SyncConfig::new(6, 64, RunConfig::new().seed(23)).divergence(0.25);
         let seq = abe_statesync::run_antientropy(&cfg);
-        let par = abe_statesync::run_antientropy(&cfg.clone().shards(shards));
+        cfg.run.shards = shards;
+        let par = abe_statesync::run_antientropy(&cfg);
         assert_sync_equal(&seq, &par, &format!("antientropy, shards={shards}"));
         assert!(
             seq.report.payload_bytes > 0,
@@ -353,12 +367,12 @@ fn antientropy_under_churn_and_partition_matches_sequential() {
     // identically.
     for (shards, seed) in [(2, 1u64), (4, 2), (8, 3)] {
         let plan = FaultPlan::churn(8, 2, 12.0, 4.0, seed).partition(vec![0], 0.0, 5.0);
-        let cfg = abe_statesync::SyncConfig::new(8, 64)
-            .divergence(0.25)
-            .seed(seed)
-            .fault(plan);
+        let mut cfg =
+            abe_statesync::SyncConfig::new(8, 64, RunConfig::new().seed(seed).fault(plan))
+                .divergence(0.25);
         let seq = abe_statesync::run_antientropy(&cfg);
-        let par = abe_statesync::run_antientropy(&cfg.clone().shards(shards));
+        cfg.run.shards = shards;
+        let par = abe_statesync::run_antientropy(&cfg);
         assert_sync_equal(&seq, &par, &format!("sync churn, shards={shards}"));
         assert_eq!(
             seq.report.faults, par.report.faults,
@@ -378,11 +392,11 @@ fn full_exchange_reference_matches_sequential_for_every_shard_count() {
     // a second, heavier-tailed byte distribution through the same
     // accounting path.
     for shards in [2, 4, 8] {
-        let cfg = abe_statesync::SyncConfig::new(5, 64)
-            .divergence(0.25)
-            .seed(29);
+        let mut cfg =
+            abe_statesync::SyncConfig::new(5, 64, RunConfig::new().seed(29)).divergence(0.25);
         let seq = abe_statesync::run_reference(&cfg);
-        let par = abe_statesync::run_reference(&cfg.clone().shards(shards));
+        cfg.run.shards = shards;
+        let par = abe_statesync::run_reference(&cfg);
         assert_sync_equal(&seq, &par, &format!("full-exchange, shards={shards}"));
         assert!(
             seq.report.payload_bytes > 0,
@@ -419,16 +433,18 @@ proptest! {
         fifo in any::<bool>(),
         churn_events in 0u32..3,
     ) {
-        let mut cfg = RingConfig::new(n)
+        let run = RunConfig::new()
             .seed(seed)
             .delay(delay)
             .fifo(fifo)
             .max_events(40_000);
+        let mut cfg = RingConfig::new(n, run);
         if churn_events > 0 {
-            cfg = cfg.fault(FaultPlan::churn(n, churn_events, 30.0, 4.0, seed));
+            cfg.run.fault = FaultPlan::churn(n, churn_events, 30.0, 4.0, seed);
         }
         let seq = run_abe_calibrated(&cfg, 1.0);
-        let par = run_abe_calibrated(&cfg.clone().shards(shards), 1.0);
+        cfg.run.shards = shards;
+        let par = run_abe_calibrated(&cfg, 1.0);
         prop_assert_eq!(&seq.report, &par.report);
         prop_assert_eq!(seq.leaders, par.leaders);
     }
@@ -468,12 +484,10 @@ proptest! {
         unanimous in any::<bool>(),
         churn_events in 0u32..3,
     ) {
-        let mut cfg = abe_consensus::ConsensusConfig::new(n, (n - 1) / 3)
-            .seed(seed)
-            .delay(delay)
-            .max_events(400_000);
+        let run = RunConfig::new().seed(seed).delay(delay).max_events(400_000);
+        let mut cfg = abe_consensus::ConsensusConfig::new(n, (n - 1) / 3, run);
         if churn_events > 0 {
-            cfg = cfg.fault(FaultPlan::churn(n, churn_events, 30.0, 4.0, seed));
+            cfg.run.fault = FaultPlan::churn(n, churn_events, 30.0, 4.0, seed);
         }
         let inputs = if unanimous {
             abe_consensus::InputAssignment::Unanimous(true)
@@ -481,7 +495,8 @@ proptest! {
             abe_consensus::InputAssignment::Split
         };
         let seq = abe_consensus::run_benor(&cfg, inputs);
-        let par = abe_consensus::run_benor(&cfg.clone().shards(shards), inputs);
+        cfg.run.shards = shards;
+        let par = abe_consensus::run_benor(&cfg, inputs);
         prop_assert_eq!(&seq.report, &par.report);
         prop_assert_eq!(&seq.decisions, &par.decisions);
         prop_assert_eq!(&seq.rounds, &par.rounds);
@@ -501,16 +516,14 @@ proptest! {
         delay in delay_strategy(),
         churn_events in 0u32..3,
     ) {
-        let mut cfg = abe_statesync::SyncConfig::new(n, key_space)
-            .divergence(divergence)
-            .seed(seed)
-            .delay(delay)
-            .max_events(2_000_000);
+        let run = RunConfig::new().seed(seed).delay(delay).max_events(2_000_000);
+        let mut cfg = abe_statesync::SyncConfig::new(n, key_space, run).divergence(divergence);
         if churn_events > 0 {
-            cfg = cfg.fault(FaultPlan::churn(n, churn_events, 12.0, 4.0, seed));
+            cfg.run.fault = FaultPlan::churn(n, churn_events, 12.0, 4.0, seed);
         }
         let seq = abe_statesync::run_antientropy(&cfg);
-        let par = abe_statesync::run_antientropy(&cfg.clone().shards(shards));
+        cfg.run.shards = shards;
+        let par = abe_statesync::run_antientropy(&cfg);
         prop_assert_eq!(&seq.report, &par.report);
         prop_assert_eq!(
             seq.report.payload_bytes,

@@ -25,7 +25,8 @@
 //!   [`Protocol`](abe_core::Protocol);
 //! * [`FullExchange`] — the trivial full-state reference reconciler the
 //!   differential oracle runs in lockstep;
-//! * [`runner`] — [`SyncConfig`] plus [`run_antientropy`] /
+//! * [`runner`] — [`SyncConfig`] (the replicated store's parameters and
+//!   the shared [`abe_core::RunConfig`] substrate) plus [`run_antientropy`] /
 //!   [`run_reference`], with outcomes classified as
 //!   [`Decided`](abe_core::fault::OutcomeClass::Decided) (converged) or
 //!   [`Stalled`](abe_core::fault::OutcomeClass::Stalled) (residual
@@ -40,9 +41,10 @@
 //! ## Example
 //!
 //! ```
+//! use abe_core::RunConfig;
 //! use abe_statesync::{run_antientropy, SyncConfig};
 //!
-//! let cfg = SyncConfig::new(5, 64).divergence(0.25).seed(7);
+//! let cfg = SyncConfig::new(5, 64, RunConfig::new().seed(7)).divergence(0.25);
 //! let outcome = run_antientropy(&cfg);
 //! assert!(outcome.converged());
 //! let report = outcome.sync_report();
@@ -70,13 +72,14 @@ pub use store::StateStore;
 #[cfg(test)]
 mod tests {
     use abe_core::fault::{FaultPlan, OutcomeClass};
+    use abe_core::RunConfig;
 
     use super::*;
 
     #[test]
     fn fault_free_runs_converge_with_zero_residual() {
         for seed in 0..4 {
-            let cfg = SyncConfig::new(5, 64).divergence(0.25).seed(seed);
+            let cfg = SyncConfig::new(5, 64, RunConfig::new().seed(seed)).divergence(0.25);
             let o = run_antientropy(&cfg);
             assert_eq!(o.class(), OutcomeClass::Decided, "seed {seed}");
             let r = o.sync_report();
@@ -92,7 +95,7 @@ mod tests {
         // Every send is `send_sized`, so messages_sent and the two
         // message-class counters must balance, and wire bytes must be at
         // least the per-message floor (8 bytes).
-        let cfg = SyncConfig::new(4, 32).divergence(0.5).seed(1);
+        let cfg = SyncConfig::new(4, 32, RunConfig::new().seed(1)).divergence(0.5);
         let o = run_antientropy(&cfg);
         let digest = o.report.counter("sync_digest_msgs");
         let leaf = o.report.counter("sync_leaf_msgs");
@@ -102,7 +105,7 @@ mod tests {
 
     #[test]
     fn zero_divergence_converges_with_no_data_transfers() {
-        let cfg = SyncConfig::new(4, 32).divergence(0.0).seed(3);
+        let cfg = SyncConfig::new(4, 32, RunConfig::new().seed(3)).divergence(0.0);
         let o = run_antientropy(&cfg);
         assert!(o.converged());
         assert_eq!(o.report.counter("sync_leaf_msgs"), 0);
@@ -111,7 +114,7 @@ mod tests {
 
     #[test]
     fn singleton_network_is_trivially_converged_and_silent() {
-        let cfg = SyncConfig::new(1, 16).divergence(1.0);
+        let cfg = SyncConfig::new(1, 16, RunConfig::new()).divergence(1.0);
         let o = run_antientropy(&cfg);
         assert!(o.converged());
         assert_eq!(o.report.messages_sent, 0);
@@ -120,7 +123,7 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic_for_a_fixed_seed() {
-        let cfg = SyncConfig::new(6, 64).divergence(0.3).seed(42);
+        let cfg = SyncConfig::new(6, 64, RunConfig::new().seed(42)).divergence(0.3);
         let a = run_antientropy(&cfg);
         let b = run_antientropy(&cfg);
         assert_eq!(a.report, b.report);
@@ -130,7 +133,7 @@ mod tests {
 
     #[test]
     fn reference_reconciler_converges_too() {
-        let cfg = SyncConfig::new(5, 64).divergence(0.25).seed(9);
+        let cfg = SyncConfig::new(5, 64, RunConfig::new().seed(9)).divergence(0.25);
         let o = run_reference(&cfg);
         assert!(o.converged());
         assert!(o.report.payload_bytes > 0);
@@ -142,10 +145,9 @@ mod tests {
         // spread its fresh writes; the survivors still converge among
         // themselves (on whatever subset escaped).
         for seed in 0..6 {
-            let cfg = SyncConfig::new(5, 32)
-                .divergence(0.5)
-                .seed(seed)
-                .fault(FaultPlan::new().crash_stop(0, 0.05));
+            let plan = FaultPlan::new().crash_stop(0, 0.05);
+            let cfg =
+                SyncConfig::new(5, 32, RunConfig::new().seed(seed).fault(plan)).divergence(0.5);
             let o = run_antientropy(&cfg);
             assert!(!o.alive[0], "seed {seed}");
             assert!(o.converged(), "seed {seed}: survivors must converge");
@@ -154,7 +156,7 @@ mod tests {
 
     #[test]
     fn fresh_writes_are_distinct_keys_with_valid_owners() {
-        let cfg = SyncConfig::new(7, 64).divergence(0.5).seed(11);
+        let cfg = SyncConfig::new(7, 64, RunConfig::new().seed(11)).divergence(0.5);
         let writes = cfg.fresh_writes();
         assert_eq!(writes.len(), 32);
         let mut keys: Vec<u32> = writes.iter().map(|w| w.key).collect();

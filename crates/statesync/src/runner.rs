@@ -20,14 +20,10 @@
 //! oracle's ground truth).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use abe_core::adversary::AdversaryPlan;
-use abe_core::clock::ClockSpec;
-use abe_core::delay::{Exponential, SharedDelay};
-use abe_core::fault::{FaultPlan, OutcomeClass};
-use abe_core::{NetworkBuilder, NetworkReport, Recording, RunRecorder, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::fault::OutcomeClass;
+use abe_core::{NetworkReport, Protocol, RunConfig, RunRecorder, Topology};
+use abe_sim::SeedStream;
 
 use crate::digest::{Digests, DEFAULT_FANOUT, DEFAULT_LEAF_WIDTH};
 use crate::protocol::{AntiEntropy, FullExchange};
@@ -62,7 +58,8 @@ pub struct FreshWrite {
     pub owner: u32,
 }
 
-/// Configuration of one state-sync run on the complete graph `K_n`.
+/// Configuration of one state-sync run on the complete graph `K_n`: the
+/// replicated store, and the substrate the run executes on.
 #[derive(Debug, Clone)]
 pub struct SyncConfig {
     /// Node count `n ≥ 1`.
@@ -78,38 +75,20 @@ pub struct SyncConfig {
     /// Per-node gossip round budget (bounds ticking at crashed or
     /// persistently partitioned peers).
     pub rounds_cap: u64,
-    /// Delay model applied to every edge.
-    pub delay: SharedDelay,
-    /// Clock population (defaults to perfect clocks).
-    pub clocks: ClockSpec,
-    /// Master seed for the run.
-    pub seed: u64,
-    /// FIFO channels (defaults to `false`: arbitrary reordering).
-    pub fifo: bool,
-    /// Event budget; runs exceeding it carry their residual divergence.
-    pub max_events: u64,
-    /// Optional virtual-time horizon (seconds).
-    pub max_time: Option<f64>,
-    /// Fault-injection plan (defaults to empty: no faults).
-    pub fault: FaultPlan,
-    /// Scheduling-adversary plan (defaults to empty: oblivious delays).
-    pub adversary: AdversaryPlan,
-    /// Shard count for deterministic parallel execution (defaults to 1).
-    pub shards: u32,
-    /// Optional telemetry recording budget (defaults to `None`: no
-    /// recording). Recording never perturbs the run; the captured
-    /// recorder lands on [`SyncOutcome::telemetry`].
-    pub record: Option<Recording>,
+    /// The substrate: delays, clocks, seed, faults, adversary, limits,
+    /// shards, recording.
+    pub run: RunConfig,
 }
 
 impl SyncConfig {
-    /// A complete graph of size `n` over `key_space` keys with
-    /// exponential delays of mean 1 and defaults everywhere else.
+    /// A complete graph of size `n` over `key_space` keys on the
+    /// substrate `run`, with 25 % divergence, the default digest-tree
+    /// shape and a round budget of `100 + 20 n`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `key_space == 0`.
-    pub fn new(n: u32, key_space: u32) -> Self {
+    pub fn new(n: u32, key_space: u32, run: RunConfig) -> Self {
         assert!(n >= 1, "network size must be at least 1");
         assert!(key_space >= 1, "key space must be non-empty");
         Self {
@@ -119,16 +98,7 @@ impl SyncConfig {
             fanout: DEFAULT_FANOUT,
             leaf_width: DEFAULT_LEAF_WIDTH,
             rounds_cap: 100 + 20 * u64::from(n),
-            delay: Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            clocks: ClockSpec::perfect(),
-            seed: 0,
-            fifo: false,
-            max_events: 5_000_000,
-            max_time: None,
-            fault: FaultPlan::new(),
-            adversary: AdversaryPlan::none(),
-            shards: 1,
-            record: None,
+            run,
         }
     }
 
@@ -169,77 +139,6 @@ impl SyncConfig {
         self
     }
 
-    /// Replaces the delay model.
-    pub fn delay(mut self, delay: SharedDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the clock specification.
-    pub fn clocks(mut self, clocks: ClockSpec) -> Self {
-        self.clocks = clocks;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables FIFO channels.
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
-
-    /// Installs a fault-injection plan for the run.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a budgeted scheduling-adversary plan for the run.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Replaces the event budget.
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Caps the run at a virtual-time horizon (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_time` is not finite and non-negative.
-    #[track_caller]
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        assert!(
-            max_time.is_finite() && max_time >= 0.0,
-            "max_time must be finite and non-negative, got {max_time}"
-        );
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Sets the shard count for deterministic parallel execution (see
-    /// [`abe_core::shard`]); `1` (the default) runs sequentially.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables telemetry recording for the run (see
-    /// [`abe_core::Recording`]).
-    pub fn record(mut self, record: Recording) -> Self {
-        self.record = Some(record);
-        self
-    }
-
     /// The digest-tree shape of this configuration.
     pub fn digests(&self) -> Digests {
         Digests::with_shape(self.key_space, self.fanout, self.leaf_width)
@@ -252,7 +151,7 @@ impl SyncConfig {
     pub fn fresh_writes(&self) -> Vec<FreshWrite> {
         let count =
             ((self.divergence * f64::from(self.key_space)).ceil() as u32).min(self.key_space);
-        let mut rng = SeedStream::new(self.seed).stream(WRITE_DOMAIN, 0);
+        let mut rng = SeedStream::new(self.run.seed).stream(WRITE_DOMAIN, 0);
         let mut keys: Vec<u32> = (0..self.key_space).collect();
         let mut writes = Vec::with_capacity(count as usize);
         for i in 0..count as usize {
@@ -283,35 +182,11 @@ impl SyncConfig {
         store
     }
 
-    fn builder(&self) -> NetworkBuilder {
-        let topo = Topology::complete(self.n).expect("n >= 1 was validated");
-        let builder = NetworkBuilder::new(topo)
-            .delay_shared(Arc::clone(&self.delay))
-            .clocks(self.clocks)
-            .fifo(self.fifo)
-            .seed(self.seed)
-            .fault(self.fault.clone())
-            .adversary(self.adversary.clone())
-            .shards(self.shards);
-        match &self.record {
-            Some(r) => builder.record(r.clone()),
-            None => builder,
-        }
-    }
-
-    fn limits(&self) -> RunLimits {
-        let limits = RunLimits::events(self.max_events);
-        match self.max_time {
-            Some(t) => limits.with_max_time(abe_sim::SimTime::from_secs(t)),
-            None => limits,
-        }
-    }
-
     /// Which replicas are up at virtual time `end` under this fault plan
     /// (crash-stopped or mid-outage replicas are down).
     pub fn alive_at(&self, end: f64) -> Vec<bool> {
         let mut alive = vec![true; self.n as usize];
-        for w in self.fault.crashes() {
+        for w in self.run.fault.crashes() {
             if w.at <= end && w.recover_at.is_none_or(|r| r > end) {
                 alive[w.node as usize] = false;
             }
@@ -362,7 +237,7 @@ pub struct SyncOutcome {
     pub time: f64,
     /// The full network report (payload bytes, counters, faults).
     pub report: NetworkReport,
-    /// Captured telemetry, when [`SyncConfig::record`] enabled recording.
+    /// Captured telemetry, when [`RunConfig::record`] enabled recording.
     pub telemetry: Option<Box<RunRecorder>>,
 }
 
@@ -469,55 +344,32 @@ impl SyncOutcome {
     }
 }
 
-/// Runs `net` under the config's limits, sharded when the config asks
-/// for it, and assembles the outcome from the final protocol states.
+/// Runs one `make(node, out_degree, digests, store, rounds_cap)` replica
+/// per node of `K_n`, each starting from the base image plus its share of
+/// the configuration's fresh writes, and assembles the outcome from the
+/// final stores and round counts `split` extracts.
+///
+/// # Panics
+///
+/// Panics if the fault plan names a node or edge `K_n` does not have.
 fn execute<P>(
     cfg: &SyncConfig,
-    net: abe_core::Network<P>,
+    make: impl Fn(u32, usize, Digests, StateStore, u64) -> P,
     split: impl Fn(P) -> (StateStore, u64),
 ) -> SyncOutcome
 where
-    P: abe_core::Protocol + Clone + Send,
+    P: Protocol + Clone + Send,
     P::Message: Send,
 {
-    let (report, mut net) = if cfg.shards > 1 {
-        net.run_sharded(cfg.limits())
-    } else {
-        net.run(cfg.limits())
-    };
-    let telemetry = net.take_telemetry();
-    let (states, rounds): (Vec<_>, Vec<_>) = net
-        .into_protocols()
-        .into_iter()
-        .map(|p| {
-            let (store, rounds) = split(p);
-            (store.into_map(), rounds)
-        })
-        .unzip();
-    let time = report.end_time.as_secs();
-    SyncOutcome {
-        n: cfg.n,
-        key_space: cfg.key_space,
-        writes: cfg.fresh_writes(),
-        states,
-        alive: cfg.alive_at(time),
-        rounds,
-        time,
-        report,
-        telemetry,
-    }
-}
-
-/// Runs the Merkle-descent anti-entropy protocol on `K_n`.
-pub fn run_antientropy(cfg: &SyncConfig) -> SyncOutcome {
     let digests = cfg.digests();
     let writes = cfg.fresh_writes();
     let out_degree = cfg.n as usize - 1;
-    let net = cfg
-        .builder()
-        .build(|i| {
+    let topo = Topology::complete(cfg.n).expect("n >= 1 was validated");
+    let run = cfg
+        .run
+        .run(topo, |i| {
             let i = i as u32;
-            AntiEntropy::new(
+            make(
                 i,
                 out_degree,
                 digests,
@@ -525,8 +377,32 @@ pub fn run_antientropy(cfg: &SyncConfig) -> SyncOutcome {
                 cfg.rounds_cap,
             )
         })
-        .expect("complete-graph configuration is structurally valid");
-    execute(cfg, net, |p: AntiEntropy| {
+        .expect("the fault plan must fit the complete graph");
+    let (states, rounds): (Vec<_>, Vec<_>) = run
+        .protocols
+        .into_iter()
+        .map(|p| {
+            let (store, rounds) = split(p);
+            (store.into_map(), rounds)
+        })
+        .unzip();
+    let time = run.report.end_time.as_secs();
+    SyncOutcome {
+        n: cfg.n,
+        key_space: cfg.key_space,
+        writes,
+        states,
+        alive: cfg.alive_at(time),
+        rounds,
+        time,
+        report: run.report,
+        telemetry: run.telemetry,
+    }
+}
+
+/// Runs the Merkle-descent anti-entropy protocol on `K_n`.
+pub fn run_antientropy(cfg: &SyncConfig) -> SyncOutcome {
+    execute(cfg, AntiEntropy::new, |p| {
         let rounds = p.rounds();
         (p.into_store(), rounds)
     })
@@ -536,23 +412,7 @@ pub fn run_antientropy(cfg: &SyncConfig) -> SyncOutcome {
 /// differential baseline whose final states the Merkle protocol must
 /// reproduce exactly.
 pub fn run_reference(cfg: &SyncConfig) -> SyncOutcome {
-    let digests = cfg.digests();
-    let writes = cfg.fresh_writes();
-    let out_degree = cfg.n as usize - 1;
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            FullExchange::new(
-                i,
-                out_degree,
-                digests,
-                cfg.initial_store(i, &writes),
-                cfg.rounds_cap,
-            )
-        })
-        .expect("complete-graph configuration is structurally valid");
-    execute(cfg, net, |p: FullExchange| {
+    execute(cfg, FullExchange::new, |p| {
         let rounds = p.rounds();
         (p.into_store(), rounds)
     })

@@ -32,6 +32,7 @@ use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_core::adversary::AdversaryPlan;
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform};
 use abe_core::fault::{FaultPlan, OutcomeClass};
+use abe_core::RunConfig;
 use abe_statesync::{
     base_payload, fresh_payload, run_antientropy, run_reference, SyncConfig, SyncOutcome,
 };
@@ -127,11 +128,15 @@ fn fault_free_runs_reach_the_exact_target_under_every_adversary() {
         for strategy in 0..5 {
             for &budget in &[1.0, 4.0] {
                 let seed = (family * 100 + strategy) as u64;
-                let cfg = SyncConfig::new(5, 64)
-                    .divergence(0.25)
-                    .delay(delay_for(family))
-                    .seed(seed)
-                    .adversary(plan_for(strategy, budget));
+                let cfg = SyncConfig::new(
+                    5,
+                    64,
+                    RunConfig::new()
+                        .delay(delay_for(family))
+                        .seed(seed)
+                        .adversary(plan_for(strategy, budget)),
+                )
+                .divergence(0.25);
                 let o = run_antientropy(&cfg);
                 let what =
                     format!("family={family} strategy={strategy} budget={budget} seed={seed}");
@@ -157,13 +162,12 @@ fn residual_divergence_is_monotone_along_every_run() {
     // prefix must dominate the residual at any longer prefix.
     for family in 0..3 {
         for seed in 0..4u64 {
-            let base = SyncConfig::new(5, 64)
-                .divergence(0.3)
-                .delay(delay_for(family))
-                .seed(seed);
+            let base = SyncConfig::new(5, 64, RunConfig::new().delay(delay_for(family)).seed(seed))
+                .divergence(0.3);
             let mut last = u64::MAX;
             for horizon in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
-                let cfg = base.clone().max_time(horizon);
+                let mut cfg = base.clone();
+                cfg.run = cfg.run.max_time(horizon);
                 let o = run_antientropy(&cfg);
                 let what = format!("family={family} seed={seed} horizon={horizon}");
                 assert_sync_safe(&cfg, &o, &what);
@@ -196,9 +200,8 @@ fn wire_bytes_scale_with_divergence_not_state_size() {
     let mut reference = [0u64; 2];
     for (i, &key_space) in spaces.iter().enumerate() {
         for seed in 0..3u64 {
-            let cfg = SyncConfig::new(n, key_space)
-                .divergence(f64::from(dirty) / f64::from(key_space))
-                .seed(seed);
+            let cfg = SyncConfig::new(n, key_space, RunConfig::new().seed(seed))
+                .divergence(f64::from(dirty) / f64::from(key_space));
             assert_eq!(cfg.fresh_writes().len(), dirty as usize);
             let a = run_antientropy(&cfg);
             let r = run_reference(&cfg);
@@ -261,13 +264,13 @@ proptest! {
         if partitioned {
             fault = fault.partition(vec![0], 0.0, 5.0);
         }
-        let cfg = SyncConfig::new(n, key_space)
-            .divergence(divergence)
+        let run = RunConfig::new()
             .delay(delay_for(family))
             .seed(seed)
             .fault(fault)
             .adversary(plan_for(strategy, budget))
             .max_events(2_000_000);
+        let cfg = SyncConfig::new(n, key_space, run).divergence(divergence);
         let o = run_antientropy(&cfg);
         let what = format!(
             "n={n} K={key_space} div={divergence:.2} family={family} \

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
-use abe_core::{NetworkBuilder, Topology};
+use abe_core::{NetworkBuilder, RunConfig, Topology};
 use abe_sim::RunLimits;
 use abe_statesync::{
     base_payload, fresh_payload, AntiEntropy, DigestTree, Digests, StateStore, SyncConfig,
@@ -209,7 +209,7 @@ fn children_tile_ranges_ending_at_the_top_of_the_key_type() {
 #[test]
 #[should_panic(expected = "fanout >= 2")]
 fn tree_shape_is_validated_where_it_is_set() {
-    let _ = SyncConfig::new(4, 64).tree(1, 8);
+    let _ = SyncConfig::new(4, 64, RunConfig::new()).tree(1, 8);
 }
 
 /// Inside real runs — e21's smoke grid, sequential and on two shards —
@@ -225,11 +225,12 @@ fn cached_roots_match_the_definition_after_protocol_runs() {
         for n in [4u32, 8] {
             for divergence in [0.1, 0.4] {
                 for shards in [1u32, 2] {
-                    let cfg = SyncConfig::new(n, 256).divergence(divergence).seed(7);
+                    let cfg =
+                        SyncConfig::new(n, 256, RunConfig::new().seed(7)).divergence(divergence);
                     let (digests, writes) = (cfg.digests(), cfg.fresh_writes());
                     let net = NetworkBuilder::new(Topology::complete(n).expect("n >= 1"))
                         .delay_shared(Arc::clone(delay))
-                        .seed(cfg.seed)
+                        .seed(cfg.run.seed)
                         .shards(shards)
                         .build(|i| {
                             let store = cfg.initial_store(i as u32, &writes);
@@ -242,7 +243,7 @@ fn cached_roots_match_the_definition_after_protocol_runs() {
                             )
                         })
                         .expect("valid build");
-                    let limits = RunLimits::events(cfg.max_events);
+                    let limits = RunLimits::events(cfg.run.max_events);
                     let (_, net) = if shards > 1 {
                         net.run_sharded(limits)
                     } else {

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
 use abe_core::fault::FaultPlan;
+use abe_core::RunConfig;
 use abe_statesync::{run_antientropy, run_reference, SyncConfig};
 
 fn delay_for(family: usize) -> SharedDelay {
@@ -30,10 +31,9 @@ fn fault_free_grid_yields_identical_final_state_maps() {
     for family in 0..3 {
         for &divergence in &[0.1, 0.25, 0.5] {
             for seed in 0..4u64 {
-                let cfg = SyncConfig::new(5, 64)
-                    .divergence(divergence)
-                    .delay(delay_for(family))
-                    .seed(seed);
+                let cfg =
+                    SyncConfig::new(5, 64, RunConfig::new().delay(delay_for(family)).seed(seed))
+                        .divergence(divergence);
                 let a = run_antientropy(&cfg);
                 let r = run_reference(&cfg);
                 let what = format!("family={family} div={divergence} seed={seed}");
@@ -56,10 +56,14 @@ fn healed_partitions_yield_identical_final_state_maps() {
     // sides; after the heal both reconcilers must still meet at the
     // same union state.
     for seed in 0..4u64 {
-        let cfg = SyncConfig::new(6, 64)
-            .divergence(0.25)
-            .seed(seed)
-            .fault(FaultPlan::new().partition(vec![0, 1], 0.0, 4.0));
+        let cfg = SyncConfig::new(
+            6,
+            64,
+            RunConfig::new()
+                .seed(seed)
+                .fault(FaultPlan::new().partition(vec![0, 1], 0.0, 4.0)),
+        )
+        .divergence(0.25);
         let a = run_antientropy(&cfg);
         let r = run_reference(&cfg);
         let what = format!("partition seed={seed}");
@@ -75,9 +79,8 @@ fn degenerate_configurations_agree() {
     // a single write: the corners where off-by-one bugs live.
     for &(n, key_space, divergence) in &[(1u32, 16u32, 0.5f64), (2, 4, 0.01), (3, 1, 1.0)] {
         for seed in 0..2u64 {
-            let cfg = SyncConfig::new(n, key_space)
-                .divergence(divergence)
-                .seed(seed);
+            let cfg =
+                SyncConfig::new(n, key_space, RunConfig::new().seed(seed)).divergence(divergence);
             let a = run_antientropy(&cfg);
             let r = run_reference(&cfg);
             let what = format!("n={n} K={key_space} div={divergence} seed={seed}");

@@ -43,6 +43,7 @@ pub struct SyncEnvelope<M> {
 ///
 /// Stops locally after `max_rounds` pulses; combine with the application's
 /// own [`PulseCtx::request_stop`] for early termination.
+#[derive(Clone)]
 pub struct GraphSynchronizer<P: PulseProtocol> {
     app: P,
     max_rounds: u64,

@@ -158,10 +158,9 @@ impl TraceEvent {
     }
 }
 
-/// `Display` reproduces the historical string-trace line format
-/// (`"start n0"`, `"deliver n0 -> n1: ()"`, `"crash n1"`), so callers
-/// migrated from `TraceBuffer<String>` read identical lines; variants
-/// that had no string form render in the same `n<id>` style.
+/// `Display` renders one compact line per event (`"start n0"`,
+/// `"deliver n0 -> n1: ()"`, `"crash n1"`), every variant in the same
+/// `n<id>` style.
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -16,7 +16,7 @@ pub trait Recorder {
 }
 
 /// A bounded ring of the most recent records, with an exact count of
-/// evictions — the typed successor of `abe_sim::TraceBuffer<String>`.
+/// evictions.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     records: VecDeque<TraceRecord>,
@@ -26,7 +26,7 @@ pub struct RingSink {
 
 impl RingSink {
     /// A ring retaining at most `capacity` records; capacity 0 counts
-    /// every record as dropped (mirroring `TraceBuffer`).
+    /// every record as dropped.
     pub fn new(capacity: usize) -> Self {
         Self {
             records: VecDeque::with_capacity(capacity.min(1024)),

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use abe_networks::adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_networks::core::delay::Pareto;
-use abe_networks::core::AdversaryPlan;
+use abe_networks::core::{AdversaryPlan, RunConfig};
 use abe_networks::election::{run_abe_calibrated, RingConfig};
 
 const N: u32 = 32;
@@ -65,7 +65,7 @@ fn main() {
     for name in ["none", "swap", "burst", "reorder", "adaptive"] {
         let (mut time, mut messages, mut max_mean, mut clamped) = (0.0, 0u64, 0.0f64, 0u64);
         for seed in 0..SEEDS {
-            let cfg = RingConfig::new(N).seed(seed).adversary(plan(name));
+            let cfg = RingConfig::new(N, RunConfig::new().seed(seed).adversary(plan(name)));
             let o = run_abe_calibrated(&cfg, 1.0);
             assert_eq!(o.leaders, 1, "elections stay correct under adversaries");
             assert_eq!(o.report.adversary.violations, 0, "legal executions only");

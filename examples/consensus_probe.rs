@@ -25,7 +25,7 @@
 
 use abe_networks::adversary::TargetHeat;
 use abe_networks::consensus::{run_benor, ConsensusConfig, InputAssignment};
-use abe_networks::core::{AdversaryPlan, OutcomeClass};
+use abe_networks::core::{AdversaryPlan, OutcomeClass, RunConfig};
 
 const N: u32 = 9;
 const FAULTY: u32 = 2;
@@ -40,12 +40,15 @@ fn drill(label: &str, adversarial: bool) -> f64 {
     );
     let mut mean_rounds = 0.0;
     for seed in 0..SEEDS {
-        let mut cfg = ConsensusConfig::new(N, FAULTY).seed(seed);
+        let mut run = RunConfig::new().seed(seed);
         if adversarial {
-            cfg =
-                cfg.adversary(AdversaryPlan::new(BUDGET, TargetHeat::new()).expect("valid budget"));
+            run =
+                run.adversary(AdversaryPlan::new(BUDGET, TargetHeat::new()).expect("valid budget"));
         }
-        let o = run_benor(&cfg, InputAssignment::Split);
+        let o = run_benor(
+            &ConsensusConfig::new(N, FAULTY, run),
+            InputAssignment::Split,
+        );
         assert_eq!(o.class(), OutcomeClass::Decided, "every drill run decides");
         assert_eq!(
             o.report.adversary.violations, 0,

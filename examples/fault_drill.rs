@@ -31,7 +31,7 @@
 //! ```
 
 use abe_networks::core::fault::FaultPlan;
-use abe_networks::core::OutcomeClass;
+use abe_networks::core::{OutcomeClass, RunConfig};
 use abe_networks::election::{run_abe_calibrated, RingConfig};
 
 fn main() {
@@ -50,10 +50,13 @@ fn main() {
     let mut survived = 0;
     let mut classes = Vec::new();
     for seed in 0..8u64 {
-        let cfg = RingConfig::new(n)
-            .seed(seed)
-            .fault(drill())
-            .max_events(50_000);
+        let cfg = RingConfig::new(
+            n,
+            RunConfig::new()
+                .seed(seed)
+                .fault(drill())
+                .max_events(50_000),
+        );
         let o = run_abe_calibrated(&cfg, 1.0);
         println!(
             "{seed:>6}  {:>9}  {:>11}  {:>8}  {:>8.1}",

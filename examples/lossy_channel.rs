@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use abe_networks::core::delay::{DelayModel, Retransmission};
+use abe_networks::core::RunConfig;
 use abe_networks::election::{run_abe_calibrated, RingConfig};
 use abe_networks::sim::Xoshiro256PlusPlus;
 use abe_networks::stats::{fmt_num, Online, Table};
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut messages = Online::new();
         let mut time = Online::new();
         for seed in 0..25 {
-            let cfg = RingConfig::new(n).delay(Arc::new(channel)).seed(seed);
+            let cfg = RingConfig::new(n, RunConfig::new().delay(Arc::new(channel)).seed(seed));
             let outcome = run_abe_calibrated(&cfg, 1.0);
             assert!(outcome.terminated && outcome.leaders == 1);
             messages.push(outcome.messages as f64);

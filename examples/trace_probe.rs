@@ -26,6 +26,7 @@
 //! $ cargo run --example trace_probe
 //! ```
 
+use abe_networks::core::RunConfig;
 use abe_networks::election::{run_abe_calibrated, RingConfig};
 use abe_networks::telemetry::{render_header, validate_trace, JsonlSink, Recording, TraceAnalysis};
 
@@ -35,10 +36,13 @@ const DELTA: f64 = 1.0;
 
 fn main() {
     // 1. Same run twice: recording off, then on. Identical reports.
-    let untraced = run_abe_calibrated(&RingConfig::new(N).seed(SEED), DELTA);
-    let cfg = RingConfig::new(N)
-        .seed(SEED)
-        .record(Recording::full().payloads(true).histograms(true));
+    let untraced = run_abe_calibrated(&RingConfig::new(N, RunConfig::new().seed(SEED)), DELTA);
+    let cfg = RingConfig::new(
+        N,
+        RunConfig::new()
+            .seed(SEED)
+            .record(Recording::full().payloads(true).histograms(true)),
+    );
     let traced = run_abe_calibrated(&cfg, DELTA);
     assert_eq!(traced.report, untraced.report, "recording never perturbs");
     assert!(

@@ -39,10 +39,14 @@
 //! ## Quickstart
 //!
 //! ```
+//! use abe_networks::core::RunConfig;
 //! use abe_networks::election::{run_abe_calibrated, RingConfig};
 //!
 //! // Elect a leader on an anonymous unidirectional ABE ring of 64 nodes.
-//! let outcome = run_abe_calibrated(&RingConfig::new(64).seed(2026), 1.0);
+//! // `RunConfig` is the network (delays, clocks, seed, faults, …); the
+//! // workload config adds only what the algorithm needs to know.
+//! let cfg = RingConfig::new(64, RunConfig::new().seed(2026));
+//! let outcome = run_abe_calibrated(&cfg, 1.0);
 //! assert!(outcome.terminated);
 //! assert_eq!(outcome.leaders, 1);
 //! println!(

@@ -2,7 +2,7 @@
 //! across every layer (kernel, network, algorithms, experiments).
 
 use abe_networks::core::delay::Exponential;
-use abe_networks::core::{NetworkBuilder, Topology};
+use abe_networks::core::{NetworkBuilder, RunConfig, Topology};
 use abe_networks::election::{run_abe_calibrated, run_itai_rodeh, RingConfig};
 use abe_networks::sim::RunLimits;
 use abe_networks::sync::{GraphSynchronizer, Heartbeat, IrSync, SyncRunner};
@@ -10,8 +10,8 @@ use abe_networks::sync::{GraphSynchronizer, Heartbeat, IrSync, SyncRunner};
 #[test]
 fn election_runs_are_bit_reproducible() {
     for seed in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
-        let a = run_abe_calibrated(&RingConfig::new(48).seed(seed), 1.0);
-        let b = run_abe_calibrated(&RingConfig::new(48).seed(seed), 1.0);
+        let a = run_abe_calibrated(&RingConfig::new(48, RunConfig::new().seed(seed)), 1.0);
+        let b = run_abe_calibrated(&RingConfig::new(48, RunConfig::new().seed(seed)), 1.0);
         assert_eq!(a.messages, b.messages, "seed={seed}");
         assert_eq!(a.time, b.time, "seed={seed}");
         assert_eq!(a.ticks, b.ticks, "seed={seed}");
@@ -22,7 +22,7 @@ fn election_runs_are_bit_reproducible() {
 #[test]
 fn different_seeds_differ() {
     let outcomes: Vec<f64> = (0..10)
-        .map(|seed| run_abe_calibrated(&RingConfig::new(48).seed(seed), 1.0).time)
+        .map(|seed| run_abe_calibrated(&RingConfig::new(48, RunConfig::new().seed(seed)), 1.0).time)
         .collect();
     let distinct: std::collections::BTreeSet<u64> = outcomes.iter().map(|t| t.to_bits()).collect();
     assert!(
@@ -33,8 +33,8 @@ fn different_seeds_differ() {
 
 #[test]
 fn itai_rodeh_reproducible() {
-    let a = run_itai_rodeh(&RingConfig::new(32).seed(9));
-    let b = run_itai_rodeh(&RingConfig::new(32).seed(9));
+    let a = run_itai_rodeh(&RingConfig::new(32, RunConfig::new().seed(9)));
+    let b = run_itai_rodeh(&RingConfig::new(32, RunConfig::new().seed(9)));
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.time, b.time);
 }

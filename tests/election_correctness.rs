@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use abe_networks::core::clock::{ClockSpec, DriftMode};
 use abe_networks::core::delay::{standard_families, Deterministic, Exponential};
+use abe_networks::core::RunConfig;
 use abe_networks::election::{
     run_abe, run_abe_calibrated, run_chang_roberts, run_fixed, run_itai_rodeh, RingConfig,
 };
@@ -13,7 +14,7 @@ use abe_networks::election::{
 fn unique_leader_across_sizes_and_seeds() {
     for n in [1u32, 2, 3, 5, 8, 17, 33, 64] {
         for seed in 0..8 {
-            let outcome = run_abe_calibrated(&RingConfig::new(n).seed(seed), 1.0);
+            let outcome = run_abe_calibrated(&RingConfig::new(n, RunConfig::new().seed(seed)), 1.0);
             assert!(outcome.terminated, "n={n} seed={seed}");
             assert_eq!(outcome.leaders, 1, "n={n} seed={seed}");
         }
@@ -26,7 +27,7 @@ fn unique_leader_across_delay_families() {
     // bounded or not — only the mean matters.
     for (label, delay) in standard_families(2.0) {
         for seed in 0..5 {
-            let cfg = RingConfig::new(24).delay(Arc::clone(&delay)).seed(seed);
+            let cfg = RingConfig::new(24, RunConfig::new().delay(Arc::clone(&delay)).seed(seed));
             let outcome = run_abe_calibrated(&cfg, 1.0);
             assert!(outcome.terminated, "{label} seed={seed}");
             assert_eq!(outcome.leaders, 1, "{label} seed={seed}");
@@ -39,7 +40,7 @@ fn unique_leader_under_clock_drift() {
     for mode in [DriftMode::Fixed, DriftMode::Wander] {
         let clocks = ClockSpec::new(0.25, 4.0, mode).unwrap();
         for seed in 0..8 {
-            let cfg = RingConfig::new(32).clocks(clocks).seed(seed);
+            let cfg = RingConfig::new(32, RunConfig::new().clocks(clocks).seed(seed));
             let outcome = run_abe_calibrated(&cfg, 1.0);
             assert!(outcome.terminated, "{mode:?} seed={seed}");
             assert_eq!(outcome.leaders, 1, "{mode:?} seed={seed}");
@@ -51,7 +52,10 @@ fn unique_leader_under_clock_drift() {
 fn unique_leader_with_fifo_channels() {
     // FIFO is a *stronger* network; correctness must be preserved.
     for seed in 0..8 {
-        let outcome = run_abe_calibrated(&RingConfig::new(32).fifo(true).seed(seed), 1.0);
+        let outcome = run_abe_calibrated(
+            &RingConfig::new(32, RunConfig::new().fifo(true).seed(seed)),
+            1.0,
+        );
         assert_eq!(outcome.leaders, 1, "seed={seed}");
     }
 }
@@ -61,9 +65,12 @@ fn abd_is_a_special_case_of_abe() {
     // Deterministic delay = a legal ABD network; every algorithm for ABE
     // must in particular work there.
     for seed in 0..8 {
-        let cfg = RingConfig::new(32)
-            .delay(Arc::new(Deterministic::new(1.0).unwrap()))
-            .seed(seed);
+        let cfg = RingConfig::new(
+            32,
+            RunConfig::new()
+                .delay(Arc::new(Deterministic::new(1.0).unwrap()))
+                .seed(seed),
+        );
         let outcome = run_abe_calibrated(&cfg, 1.0);
         assert_eq!(outcome.leaders, 1, "seed={seed}");
     }
@@ -71,7 +78,7 @@ fn abd_is_a_special_case_of_abe() {
 
 #[test]
 fn all_election_algorithms_agree_on_uniqueness() {
-    let cfg = RingConfig::new(16).seed(42);
+    let cfg = RingConfig::new(16, RunConfig::new().seed(42));
     assert_eq!(run_abe(&cfg, 0.3).leaders, 1);
     assert_eq!(run_abe_calibrated(&cfg, 2.0).leaders, 1);
     assert_eq!(run_fixed(&cfg, 0.01).leaders, 1);
@@ -83,10 +90,10 @@ fn all_election_algorithms_agree_on_uniqueness() {
 fn extreme_activation_budgets_still_elect() {
     for seed in 0..5 {
         // Very eager: many collisions, still terminates.
-        let eager = run_abe_calibrated(&RingConfig::new(16).seed(seed), 50.0);
+        let eager = run_abe_calibrated(&RingConfig::new(16, RunConfig::new().seed(seed)), 50.0);
         assert_eq!(eager.leaders, 1, "eager seed={seed}");
         // Very lazy: long waits, still terminates.
-        let lazy = run_abe_calibrated(&RingConfig::new(16).seed(seed), 0.05);
+        let lazy = run_abe_calibrated(&RingConfig::new(16, RunConfig::new().seed(seed)), 0.05);
         assert_eq!(lazy.leaders, 1, "lazy seed={seed}");
         assert!(
             lazy.time > eager.time * 0.1,

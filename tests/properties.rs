@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use abe_networks::core::delay::{
     DelayModel, Deterministic, Exponential, Hyperexponential, Pareto, Retransmission, Uniform,
 };
-use abe_networks::core::{NetworkBuilder, Topology};
+use abe_networks::core::{NetworkBuilder, RunConfig, Topology};
 use abe_networks::election::{AbeElection, ElectionState, RingConfig};
 use abe_networks::sim::{EventQueue, RunLimits, SimTime, Xoshiro256PlusPlus};
 use abe_networks::stats::Online;
@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn knockouts_bounded(n in 2u32..32, seed in any::<u64>()) {
         let outcome = abe_networks::election::run_abe_calibrated(
-            &RingConfig::new(n).seed(seed),
+            &RingConfig::new(n, RunConfig::new().seed(seed)),
             1.0,
         );
         prop_assert!(outcome.report.counter("knockouts") < u64::from(n));
@@ -214,7 +214,7 @@ proptest! {
     #[test]
     fn peterson_unique_leader(n in 1u32..24, seed in any::<u64>()) {
         let outcome = abe_networks::election::run_peterson(
-            &RingConfig::new(n).seed(seed),
+            &RingConfig::new(n, RunConfig::new().seed(seed)),
         );
         prop_assert!(outcome.terminated);
         prop_assert_eq!(outcome.leaders, 1);
