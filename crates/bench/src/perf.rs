@@ -44,9 +44,7 @@ use abe_core::RunConfig;
 use abe_election::{run_abe_calibrated, RingConfig};
 use abe_sim::{EventQueue, EventToken, HeapQueue, QueueStats, SimTime, SplitMix64};
 use abe_statesync::{run_antientropy, SyncConfig};
-use abe_stats::json_f64;
-
-use abe_sweep::json::json_str;
+use abe_stats::{json_f64, json_str};
 
 /// Grid size selector for the perf suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,8 +8,8 @@
 pub mod json {
     //! Self-describing JSON documents for experiment sweeps.
     //!
-    //! No serde is available in the build container, so the harness renders
-    //! JSON by hand (string primitives come from [`abe_sweep::json`]).
+    //! The harness renders JSON by hand (string primitives come from
+    //! [`abe_stats::json_str`]).
     //! Determinism is part of the format's contract: everything under the
     //! `"sweep"` key is a pure function of the sweep specification (see
     //! [`SweepOutcome::metrics_json`](abe_sweep::SweepOutcome::metrics_json)),
@@ -33,7 +33,7 @@ pub mod json {
     //! }
     //! ```
 
-    use abe_sweep::json::json_str;
+    use abe_stats::json_str;
 
     use crate::ExperimentReport;
 

@@ -22,8 +22,9 @@
 use std::fmt::Write as _;
 
 use abe_core::{NetworkReport, Recording, RunRecorder};
+use abe_stats::json_str;
 use abe_sweep::{Cell, SweepSpec};
-use abe_telemetry::{json_str, render_header, validate_trace, JsonlSink, TraceAnalysis};
+use abe_telemetry::{render_header, validate_trace, JsonlSink, TraceAnalysis};
 
 use crate::experiments::{e17_adversary, e1_messages};
 use crate::RunCtx;
@@ -174,11 +175,12 @@ pub fn render_trace_file(run: &TracedRun, meta: &[(&str, String)]) -> String {
     let rec = run.recorder();
     let mut sink = JsonlSink::new();
     rec.replay(&mut sink);
-    format!(
-        "{}\n{}",
-        render_header(sink.records(), rec.dropped(), meta),
-        sink.body()
-    )
+    let mut file = render_header(sink.records(), rec.dropped(), meta);
+    let body = sink.into_body();
+    file.reserve(1 + body.len());
+    file.push('\n');
+    file.push_str(&body);
+    file
 }
 
 /// Builds the standard header metadata for a traced cell. Only run
@@ -201,7 +203,7 @@ pub fn trace_meta(id: &str, ctx: &RunCtx, cell: &Cell) -> Vec<(&'static str, Str
 /// `max_edge_mean`.
 pub fn analysis_report(run: &TracedRun) -> String {
     let rec = run.recorder();
-    let a = TraceAnalysis::from_records(rec.records().cloned());
+    let a = TraceAnalysis::from_records(rec.records());
     let mut out = a.report(Some(run.bound));
     if rec.dropped() > 0 {
         let _ = writeln!(
@@ -227,7 +229,7 @@ pub fn analysis_report(run: &TracedRun) -> String {
 /// Renders the causal chain starting from message `(edge, seq)` as one
 /// line per hop.
 pub fn render_chain(run: &TracedRun, edge: u32, seq: u64, limit: usize) -> String {
-    let a = TraceAnalysis::from_records(run.recorder().records().cloned());
+    let a = TraceAnalysis::from_records(run.recorder().records());
     let hops = a.chain_from(edge, seq, limit);
     if hops.is_empty() {
         return format!("no trace record for message (edge {edge}, seq {seq})\n");
@@ -319,7 +321,7 @@ pub fn check_cell(exp: &TraceableExperiment, ctx: &RunCtx, cell: &Cell) -> Resul
         ));
     }
     if let Some(audited) = traced.audited_max_edge_mean {
-        let a = TraceAnalysis::from_records(rec.records().cloned());
+        let a = TraceAnalysis::from_records(rec.records());
         let empirical = a.max_edge_mean().map_or(0.0, |(_, m)| m);
         if (empirical - audited).abs() > 1e-9 * audited.abs().max(1.0) {
             return Err(format!(

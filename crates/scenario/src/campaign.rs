@@ -30,7 +30,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use abe_core::OutcomeClass;
-use abe_sweep::{json::json_str, SweepOutcome};
+use abe_stats::json_str;
+use abe_sweep::SweepOutcome;
 
 use crate::compile::compile;
 use crate::model::{Expectation, RecordMode, Scenario};

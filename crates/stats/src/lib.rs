@@ -35,12 +35,14 @@
 #![warn(missing_debug_implementations)]
 
 mod histogram;
+mod json;
 mod online;
 mod regression;
 mod summary;
 mod table;
 
 pub use histogram::{quantile, Histogram};
+pub use json::{json_str, write_json_f64, write_json_str};
 pub use online::Online;
 pub use regression::{
     best_growth, classify_growth, fit_line, fit_power_law, GrowthFit, GrowthModel, LineFit,

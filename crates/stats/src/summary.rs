@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::json::write_json_f64;
 use crate::online::Online;
 
 /// Plain-data snapshot of one metric across repetitions.
@@ -101,11 +102,9 @@ impl fmt::Display for Summary {
 /// assert_eq!(json_f64(f64::NAN), "null");
 /// ```
 pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    write_json_f64(&mut out, x);
+    out
 }
 
 #[cfg(test)]

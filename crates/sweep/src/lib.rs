@@ -43,8 +43,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod json;
-
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,7 +53,7 @@ use abe_core::{NetworkReport, Recording};
 use abe_election::ElectionOutcome;
 use abe_sim::SeedStream;
 use abe_statesync::SyncOutcome;
-use abe_stats::{Online, Summary};
+use abe_stats::{json_str, Online, Summary};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 
 /// One coordinate value on a sweep axis.
@@ -99,7 +97,7 @@ impl AxisValue {
         match self {
             AxisValue::U32(v) => v.to_string(),
             AxisValue::F64(v) => abe_stats::json_f64(*v),
-            AxisValue::Str(s) => json::json_str(s),
+            AxisValue::Str(s) => json_str(s),
         }
     }
 }
@@ -721,7 +719,7 @@ impl SweepOutcome {
                 let values: Vec<String> = axis.values.iter().map(AxisValue::to_json).collect();
                 format!(
                     "{{\"name\":{},\"values\":[{}]}}",
-                    json::json_str(axis.name),
+                    json_str(axis.name),
                     values.join(",")
                 )
             })
@@ -760,7 +758,7 @@ impl SweepOutcome {
 fn coords_json(coords: &[(&'static str, AxisValue)]) -> String {
     let fields: Vec<String> = coords
         .iter()
-        .map(|(name, value)| format!("{}:{}", json::json_str(name), value.to_json()))
+        .map(|(name, value)| format!("{}:{}", json_str(name), value.to_json()))
         .collect();
     format!("{{{}}}", fields.join(","))
 }
@@ -769,7 +767,7 @@ fn metrics_only_json(metrics: &CellMetrics) -> String {
     let fields: Vec<String> = metrics
         .metrics
         .iter()
-        .map(|(name, value)| format!("{}:{}", json::json_str(name), abe_stats::json_f64(*value)))
+        .map(|(name, value)| format!("{}:{}", json_str(name), abe_stats::json_f64(*value)))
         .collect();
     format!("{{{}}}", fields.join(","))
 }
@@ -778,7 +776,7 @@ fn counters_only_json(metrics: &CellMetrics) -> String {
     let fields: Vec<String> = metrics
         .counters
         .iter()
-        .map(|(name, value)| format!("{}:{value}", json::json_str(name)))
+        .map(|(name, value)| format!("{}:{value}", json_str(name)))
         .collect();
     format!("{{{}}}", fields.join(","))
 }
@@ -868,7 +866,7 @@ impl Group<'_> {
             .map(|name| {
                 format!(
                     "{}:{}",
-                    json::json_str(name),
+                    json_str(name),
                     Summary::from(&self.online(name)).to_json()
                 )
             })
@@ -882,7 +880,7 @@ impl Group<'_> {
             .collect();
         let counters: Vec<String> = counter_names
             .iter()
-            .map(|name| format!("{}:{}", json::json_str(name), self.counter_total(name)))
+            .map(|name| format!("{}:{}", json_str(name), self.counter_total(name)))
             .collect();
         format!(
             "{{\"coords\":{},\"cells\":{},\"metrics\":{{{}}},\"counters\":{{{}}}}}",

@@ -12,7 +12,8 @@
 //! delay model's declared budget or an adversary auditor's observed
 //! `max_edge_mean`.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use abe_sim::SimTime;
@@ -84,38 +85,139 @@ pub struct ChainHop {
 pub struct TraceAnalysis {
     edges: BTreeMap<u32, EdgeStats>,
     nodes: BTreeMap<u32, NodeStats>,
-    /// `(edge, seq) → index of the Send record`.
-    sends: BTreeMap<(u32, u64), usize>,
-    /// `(edge, seq) → index of the Deliver record`.
-    delivers: BTreeMap<(u32, u64), usize>,
-    records: Vec<TraceRecord>,
+    /// Per edge, where each message's `Send` and `Deliver` records sit.
+    messages: ById<SeqIndex>,
+    /// What [`chain_from`](Self::chain_from) reads of each record, in
+    /// trace order; payloads are not kept.
+    records: Vec<Stamp>,
     span: Option<(SimTime, SimTime)>,
 }
 
-impl TraceAnalysis {
-    /// Builds the analysis from records in trace order.
-    pub fn from_records<I>(records: I) -> Self
-    where
-        I: IntoIterator<Item = TraceRecord>,
-    {
-        let mut a = Self::default();
-        for rec in records {
-            a.absorb(rec);
+/// A record's position and, for a `Send` or `Deliver`, its message.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    time: SimTime,
+    key: u64,
+    message: Message,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Message {
+    None,
+    Send {
+        edge: u32,
+        seq: u64,
+        src: u32,
+        dst: u32,
+    },
+    Deliver {
+        src: u32,
+        dst: u32,
+    },
+}
+
+/// One message of an edge: the indices of its (last) `Send` and
+/// `Deliver` records.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    seq: u64,
+    send: Option<usize>,
+    deliver: Option<usize>,
+}
+
+/// One edge's messages, sorted by `seq`.
+///
+/// An edge numbers its sends 0, 1, 2, …, so in a kernel trace the slot
+/// for `seq` sits at `seq − first` — `first` being where a capped
+/// recording's window starts — and a new send appends. Any other trace
+/// (gaps, hand-built records) falls back to binary search and stays
+/// correct.
+#[derive(Debug, Clone, Default)]
+struct SeqIndex(Vec<Slot>);
+
+impl SeqIndex {
+    fn position(&self, seq: u64) -> Result<usize, usize> {
+        let (Some(first), Some(last)) = (self.0.first(), self.0.last()) else {
+            return Err(0);
+        };
+        if last.seq < seq {
+            return Err(self.0.len());
         }
-        a
+        let dense = seq
+            .checked_sub(first.seq)
+            .and_then(|d| usize::try_from(d).ok());
+        match dense {
+            Some(i) if self.0.get(i).is_some_and(|s| s.seq == seq) => Ok(i),
+            _ => self.0.binary_search_by_key(&seq, |s| s.seq),
+        }
     }
 
-    fn absorb(&mut self, rec: TraceRecord) {
+    fn get(&self, seq: u64) -> Option<&Slot> {
+        self.position(seq).ok().map(|i| &self.0[i])
+    }
+
+    fn slot(&mut self, seq: u64) -> &mut Slot {
+        let i = self.position(seq).unwrap_or_else(|i| {
+            let empty = Slot {
+                seq,
+                send: None,
+                deliver: None,
+            };
+            self.0.insert(i, empty);
+            i
+        });
+        &mut self.0[i]
+    }
+}
+
+/// Values keyed by node or edge id, stored densely in first-seen order:
+/// finding one costs a hash of the id rather than a walk down a tree.
+#[derive(Debug, Clone, Default)]
+struct ById<T> {
+    slots: HashMap<u32, usize>,
+    values: Vec<(u32, T)>,
+}
+
+impl<T: Default> ById<T> {
+    fn entry(&mut self, id: u32) -> &mut T {
+        let next = self.values.len();
+        let i = *self.slots.entry(id).or_insert(next);
+        if i == next {
+            self.values.push((id, T::default()));
+        }
+        &mut self.values[i].1
+    }
+}
+
+impl<T> ById<T> {
+    fn get(&self, id: u32) -> Option<&T> {
+        self.slots.get(&id).map(|&i| &self.values[i].1)
+    }
+}
+
+/// The roll-ups while records come in, kept by id in first-seen order;
+/// [`finish`](Self::finish) sorts them by id once.
+#[derive(Default)]
+struct Builder {
+    edges: ById<(EdgeStats, SeqIndex)>,
+    nodes: ById<NodeStats>,
+    records: Vec<Stamp>,
+    span: Option<(SimTime, SimTime)>,
+}
+
+impl Builder {
+    fn absorb(&mut self, rec: &TraceRecord) {
         let idx = self.records.len();
         self.span = Some(match self.span {
             None => (rec.time, rec.time),
             Some((lo, hi)) => (lo.min(rec.time), hi.max(rec.time)),
         });
+        let mut message = Message::None;
         match &rec.event {
             TraceEvent::Start { node } | TraceEvent::Tick { node } => {
-                self.nodes.entry(*node).or_default().dispatches += 1;
+                self.nodes.entry(*node).dispatches += 1;
             }
-            TraceEvent::Send {
+            &TraceEvent::Send {
                 edge,
                 src,
                 dst,
@@ -123,58 +225,97 @@ impl TraceAnalysis {
                 delay,
                 ..
             } => {
-                let e = self.edges.entry(*edge).or_default();
-                e.src = *src;
-                e.dst = *dst;
+                let (e, seqs) = self.edges.entry(edge);
+                e.src = src;
+                e.dst = dst;
                 e.sends += 1;
                 e.delay_sum += delay;
-                self.nodes.entry(*src).or_default().sends += 1;
-                self.sends.insert((*edge, *seq), idx);
+                seqs.slot(seq).send = Some(idx);
+                self.nodes.entry(src).sends += 1;
+                message = Message::Send {
+                    edge,
+                    seq,
+                    src,
+                    dst,
+                };
             }
-            TraceEvent::Deliver {
+            &TraceEvent::Deliver {
                 edge,
                 src,
                 dst,
                 seq,
                 ..
             } => {
-                let e = self.edges.entry(*edge).or_default();
-                e.src = *src;
-                e.dst = *dst;
+                let (e, seqs) = self.edges.entry(edge);
+                e.src = src;
+                e.dst = dst;
                 e.delivers += 1;
-                self.nodes.entry(*dst).or_default().dispatches += 1;
-                self.delivers.insert((*edge, *seq), idx);
+                seqs.slot(seq).deliver = Some(idx);
+                self.nodes.entry(dst).dispatches += 1;
+                message = Message::Deliver { src, dst };
             }
             TraceEvent::DropCrash { edge, src, dst, .. }
             | TraceEvent::DropPartition { edge, src, dst, .. }
             | TraceEvent::DropRandom { edge, src, dst, .. } => {
-                let e = self.edges.entry(*edge).or_default();
+                let (e, _) = self.edges.entry(*edge);
                 e.src = *src;
                 e.dst = *dst;
                 e.drops += 1;
             }
             TraceEvent::Crash { node } => {
-                self.nodes.entry(*node).or_default().crashes += 1;
+                self.nodes.entry(*node).crashes += 1;
             }
             TraceEvent::Recover { node } => {
-                self.nodes.entry(*node).or_default().recoveries += 1;
+                self.nodes.entry(*node).recoveries += 1;
             }
             TraceEvent::StateChange { node, to } => {
-                self.nodes
-                    .entry(*node)
-                    .or_default()
-                    .states
-                    .push((rec.time, to));
+                self.nodes.entry(*node).states.push((rec.time, to));
             }
             TraceEvent::Decide { node, value } => {
-                self.nodes
-                    .entry(*node)
-                    .or_default()
-                    .decisions
-                    .push((rec.time, *value));
+                self.nodes.entry(*node).decisions.push((rec.time, *value));
             }
         }
-        self.records.push(rec);
+        self.records.push(Stamp {
+            time: rec.time,
+            key: rec.key,
+            message,
+        });
+    }
+
+    fn finish(self) -> TraceAnalysis {
+        let ById { slots, values } = self.edges;
+        let mut edges = BTreeMap::new();
+        let mut messages = Vec::with_capacity(values.len());
+        for (id, (stats, seqs)) in values {
+            edges.insert(id, stats);
+            messages.push((id, seqs));
+        }
+        TraceAnalysis {
+            edges,
+            nodes: self.nodes.values.into_iter().collect(),
+            messages: ById {
+                slots,
+                values: messages,
+            },
+            records: self.records,
+            span: self.span,
+        }
+    }
+}
+
+impl TraceAnalysis {
+    /// Builds the analysis from records in trace order, owned or
+    /// borrowed (`rec.records()` works as is).
+    pub fn from_records<I>(records: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TraceRecord>,
+    {
+        let mut build = Builder::default();
+        for rec in records {
+            build.absorb(rec.borrow());
+        }
+        build.finish()
     }
 
     /// Records analysed.
@@ -234,15 +375,11 @@ impl TraceAnalysis {
             if hops.len() >= limit {
                 break;
             }
-            let sent_at = self.sends.get(&(edge, seq)).map(|&i| self.records[i].time);
-            let deliver_idx = self.delivers.get(&(edge, seq)).copied();
-            let (src, dst) = match deliver_idx
-                .or_else(|| self.sends.get(&(edge, seq)).copied())
-                .map(|i| &self.records[i].event)
-            {
-                Some(TraceEvent::Send { src, dst, .. } | TraceEvent::Deliver { src, dst, .. }) => {
-                    (*src, *dst)
-                }
+            let slot = self.messages.get(edge).and_then(|m| m.get(seq));
+            let send_idx = slot.and_then(|s| s.send);
+            let deliver_idx = slot.and_then(|s| s.deliver);
+            let (src, dst) = match deliver_idx.or(send_idx).map(|i| self.records[i].message) {
+                Some(Message::Send { src, dst, .. } | Message::Deliver { src, dst }) => (src, dst),
                 _ => break,
             };
             hops.push(ChainHop {
@@ -250,7 +387,7 @@ impl TraceAnalysis {
                 seq,
                 src,
                 dst,
-                sent_at,
+                sent_at: send_idx.map(|i| self.records[i].time),
                 delivered_at: deliver_idx.map(|i| self.records[i].time),
             });
             // The next hop is the first Send emitted by the delivering
@@ -260,8 +397,8 @@ impl TraceAnalysis {
                 self.records[i + 1..]
                     .iter()
                     .take_while(|r| r.time == head.time && r.key == head.key)
-                    .find_map(|r| match r.event {
-                        TraceEvent::Send { edge, seq, .. } => Some((edge, seq)),
+                    .find_map(|r| match r.message {
+                        Message::Send { edge, seq, .. } => Some((edge, seq)),
                         _ => None,
                     })
             });

@@ -41,7 +41,7 @@ pub use analysis::{ChainHop, EdgeStats, NodeStats, TraceAnalysis};
 pub use event::{TraceEvent, TraceRecord};
 pub use hist::{count_bucket, delay_bucket, HistogramSink, BUCKETS};
 pub use jsonl::{
-    json_str, render_header, render_record, validate_trace, JsonlSink, TraceFileSummary, SCHEMA,
+    render_header, render_record, validate_trace, JsonlSink, TraceFileSummary, SCHEMA,
 };
 pub use sink::{Recorder, RingSink};
 

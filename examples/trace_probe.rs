@@ -57,7 +57,7 @@ fn main() {
     );
 
     // 2. Analysis: timelines, causal chains, and the Definition-1 audit.
-    let analysis = TraceAnalysis::from_records(rec.records().cloned());
+    let analysis = TraceAnalysis::from_records(rec.records());
     println!("{}", analysis.report(Some(DELTA)));
     if let Some((edge, mean)) = analysis.max_edge_mean() {
         println!(
