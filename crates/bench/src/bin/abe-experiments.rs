@@ -20,8 +20,8 @@
 //! The `"sweep"` block of each document is byte-identical for any
 //! `--threads` value.
 //!
-//! The `campaign` subcommand runs the declarative scenario corpus
-//! instead of the hand-written registry:
+//! The `campaign` subcommand runs the `scenarios/` corpus against its
+//! committed goldens (e1, e14, e17, e19 and e21 run those same files):
 //!
 //! ```text
 //! abe-experiments campaign                   # run scenarios/, diff goldens
@@ -337,8 +337,8 @@ fn trace_main(args: &[String]) -> ExitCode {
 
     let mut ctx = RunCtx::new(scale, threads);
     ctx.shards = shards;
-    let spec = (exp.spec)(&ctx);
-    let cell = match trace_cli::select_cell(&spec, &selectors, rep) {
+    let compiled = (exp.scenario)(&ctx);
+    let cell = match trace_cli::select_cell(&compiled.spec(), &selectors, rep) {
         Ok(cell) => cell,
         Err(err) => {
             eprintln!("{err}");
@@ -369,7 +369,7 @@ fn trace_main(args: &[String]) -> ExitCode {
         Some(n) => Recording::ring(n).payloads(true).histograms(true),
         None => Recording::full().payloads(true).histograms(true),
     };
-    let run = (exp.run_cell)(&ctx, &cell, Some(recording));
+    let run = trace_cli::run_cell(&compiled, &cell, Some(recording));
     if let Some(path) = &out {
         let file =
             trace_cli::render_trace_file(&run, &trace_cli::trace_meta(id.as_str(), &ctx, &cell));

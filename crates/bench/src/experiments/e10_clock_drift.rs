@@ -15,7 +15,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, substrate};
 
-use super::e1_messages::{A, DELTA};
+use super::{A, DELTA};
 
 /// The clock populations probed: `(s_low, s_high, drift mode)` with
 /// ratios 1, 2, 4, 10, centred near rate 1. The `(1, 1, Wander)` combo is

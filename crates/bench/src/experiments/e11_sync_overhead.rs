@@ -23,7 +23,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};
 
-use super::e1_messages::{A, DELTA};
+use super::{A, DELTA};
 
 fn run_ir_over_synchronizer(n: u32, seed: u64) -> (u64, bool) {
     // Round budget: IR phases are ~n rounds each; allow many phases.

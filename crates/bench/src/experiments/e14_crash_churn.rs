@@ -10,85 +10,35 @@
 //! per run) on both ring orientations, and what the surviving runs pay in
 //! extra messages.
 //!
-//! Churn schedules are generated per cell by [`FaultPlan::churn`] from a
-//! child seed of the cell seed, so the whole sweep stays bit-identical at
-//! any `--threads` setting.
+//! Churn schedules are generated per cell by
+//! [`FaultPlan::churn`](abe_core::fault::FaultPlan::churn) from a child
+//! seed of the cell seed, so the whole sweep stays bit-identical at any
+//! `--threads` setting.
 
-use abe_core::fault::FaultPlan;
-use abe_core::OutcomeClass;
-use abe_election::{run_abe_calibrated, RingConfig, RingKind};
-use abe_sim::SeedStream;
+use abe_scenario::CompiledScenario;
 use abe_stats::{fmt_num, Table};
-use abe_sweep::{CellMetrics, SweepSpec};
 
 use crate::{ExperimentReport, RunCtx};
 
-use super::substrate;
+use super::{activation, delta, run_scenario};
 
-/// Activation budget (expected wake-ups per ring traversal).
-pub const A: f64 = 1.0;
-/// Expected delay bound δ.
-pub const DELTA: f64 = 1.0;
-/// Outage length of one churn event, in units of δ.
-pub const DOWNTIME: f64 = 4.0;
-/// Event budget: stalls livelock, so they are detected by exhaustion.
-pub const MAX_EVENTS: u64 = 100_000;
+/// E14's committed scenario (`scenarios/e14_crash_churn.abes`) at
+/// `ctx`'s scale.
+pub fn scenario(ctx: &RunCtx) -> CompiledScenario {
+    super::scenario(
+        ctx,
+        include_str!("../../../../scenarios/e14_crash_churn.abes"),
+        "n 32\naxis churn 0 1 2 4\nseeds 40",
+        "n 64\naxis churn 0 1 2 4 8\nseeds 200",
+    )
+}
 
 /// Runs E14.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
-    let n: u32 = ctx.scale.pick3(16, 32, 64);
-    let churn: &[u32] = ctx
-        .scale
-        .pick3(&[0, 2][..], &[0, 1, 2, 4][..], &[0, 1, 2, 4, 8][..]);
-    let reps = ctx.scale.pick3(5, 40, 200);
-    // Churn events are spread over the window the election typically
-    // occupies (expected linear time, see E2).
-    let horizon = 2.0 * f64::from(n) * DELTA;
-
-    let spec = SweepSpec::new()
-        .axis_str("topo", &["uni-ring", "bidi-ring"])
-        .axis_u32("churn", churn)
-        .seeds(reps);
-    let outcome = ctx.sweep(spec, |cell| {
-        let kind = if cell.idx("topo") == 0 {
-            RingKind::Unidirectional
-        } else {
-            RingKind::Bidirectional
-        };
-        let plan = FaultPlan::churn(
-            n,
-            cell.u32("churn"),
-            horizon,
-            DOWNTIME * DELTA,
-            SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
-        );
-        let run = substrate(ctx, DELTA, cell.seed())
-            .fault(plan)
-            .max_events(MAX_EVENTS);
-        let cfg = RingConfig::new(n, run).kind(kind);
-        let o = run_abe_calibrated(&cfg, A);
-        let class = o.class();
-        let mut metrics = CellMetrics::new()
-            .metric("completed", f64::from(class == OutcomeClass::Completed))
-            .metric("stalled", f64::from(class == OutcomeClass::Stalled))
-            .metric(
-                "wrong_leader",
-                f64::from(class == OutcomeClass::WrongLeader),
-            )
-            .metric("messages", o.messages as f64)
-            .metric("time", o.time)
-            .with_report(&o.report)
-            .with_faults(&o.report);
-        if class == OutcomeClass::Completed {
-            // Survivor-only series: stalled runs livelock until the event
-            // budget, so their message counts measure the budget, not the
-            // algorithm. Group aggregation skips cells missing a metric.
-            metrics = metrics
-                .metric("messages_ok", o.messages as f64)
-                .metric("time_ok", o.time);
-        }
-        metrics
-    });
+    let compiled = scenario(ctx);
+    let outcome = run_scenario(ctx, &compiled);
+    let s = compiled.scenario();
+    let fault = s.fault.as_ref().expect("e14 injects churn");
 
     let mut table = Table::new(&[
         "topology",
@@ -100,45 +50,38 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     ]);
     let mut findings = Vec::new();
     let mut worst_success = 1.0f64;
-    for (topo_idx, topo) in ["uni-ring", "bidi-ring"].iter().enumerate() {
+    let groups = outcome.groups();
+    for group in &groups {
         let baseline = outcome
-            .group_at(&[("topo", topo_idx), ("churn", 0)])
+            .group_at(&[("topo", group.idx("topo")), ("churn", 0)])
             .expect("churn axis includes 0")
             .mean("messages_ok");
-        for (churn_idx, &c) in churn.iter().enumerate() {
-            let group = outcome
-                .group_at(&[("topo", topo_idx), ("churn", churn_idx)])
-                .expect("full grid");
-            let success = group.mean("completed");
-            worst_success = worst_success.min(success);
-            let survivors = group.online("messages_ok");
-            let (survivor_messages, overhead) = if survivors.count() > 0 {
-                (
-                    fmt_num(survivors.mean()),
-                    format!("{:.2}x", survivors.mean() / baseline),
-                )
-            } else {
-                // No run in this group completed: there is no survivor
-                // series to report, which is not the same as "0 messages".
-                ("-".to_string(), "-".to_string())
-            };
-            table.row(&[
-                (*topo).to_string(),
-                c.to_string(),
-                format!("{:.0}%", success * 100.0),
-                survivor_messages,
-                overhead,
-                group.counter_total("fault_dropped_crash").to_string(),
-            ]);
-        }
+        let success = group.mean("completed");
+        worst_success = worst_success.min(success);
+        let survivors = group.online("messages_ok");
+        let (survivor_messages, overhead) = if survivors.count() > 0 {
+            (
+                fmt_num(survivors.mean()),
+                format!("{:.2}x", survivors.mean() / baseline),
+            )
+        } else {
+            // No run in this group completed: there is no survivor
+            // series to report, which is not the same as "0 messages".
+            ("-".to_string(), "-".to_string())
+        };
+        table.row(&[
+            group.value("topo").to_string(),
+            group.value("churn").to_string(),
+            format!("{:.0}%", success * 100.0),
+            survivor_messages,
+            overhead,
+            group.counter_total("fault_dropped_crash").to_string(),
+        ]);
     }
-    let zero_churn_ok = ["uni-ring", "bidi-ring"].iter().enumerate().all(|(i, _)| {
-        outcome
-            .group_at(&[("topo", i), ("churn", 0)])
-            .expect("churn axis includes 0")
-            .mean("completed")
-            == 1.0
-    });
+    let zero_churn_ok = groups
+        .iter()
+        .filter(|g| g.idx("churn") == 0)
+        .all(|g| g.mean("completed") == 1.0);
     findings.push(format!(
         "churn = 0 succeeds in 100% of runs on both orientations: {zero_churn_ok}"
     ));
@@ -171,8 +114,14 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         "token loss <=> stall holds cell-for-cell across the grid: {loss_iff_stall} — survivors never lost a token (overhead ~1x), so churn failures are all-or-nothing for the election"
     ));
     findings.push(format!(
-        "parameters: n = {n}, {DOWNTIME}δ outages over a {horizon:.0}δ horizon, \
-         A0 = {A}/n², event budget {MAX_EVENTS} per run, {reps} seeds per point"
+        "parameters: n = {}, {}δ outages over a {:.0}δ horizon, \
+         A0 = {}/n², event budget {} per run, {} seeds per point",
+        s.n.expect("e14 fixes n"),
+        fault.downtime / delta(s),
+        fault.horizon / delta(s),
+        activation(s),
+        s.max_events,
+        s.seeds
     ));
 
     ExperimentReport {

@@ -20,104 +20,33 @@
 //! each adversarial run was a legal ABE execution: zero un-clamped
 //! violations, every per-edge mean at or below the configured bound.
 
-use std::sync::Arc;
-
-use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
-use abe_core::delay::Pareto;
-use abe_core::AdversaryPlan;
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_scenario::CompiledScenario;
 use abe_stats::{fmt_num, Table};
-use abe_sweep::{Cell, CellMetrics, SweepSpec};
+use abe_sweep::AxisValue;
 
 use crate::{ExperimentReport, RunCtx};
 
-use super::substrate;
+use super::{activation, axis, delta, run_scenario};
 
-/// Activation budget (expected wake-ups per ring traversal), as in E1/E2.
-pub const A: f64 = 1.0;
-/// Oblivious-baseline expected delay δ (exponential mean on every edge).
-pub const DELTA: f64 = 1.0;
-/// Burst probability of the heavy-tail burster.
-pub const BURST_P: f64 = 0.05;
-/// The strategy axis, baseline first.
-pub const STRATEGIES: [&str; 5] = ["none", "swap", "burst", "reorder", "adaptive"];
-
-/// Builds the adversary plan for one cell.
-fn plan_for(strategy: &str, budget: f64) -> AdversaryPlan {
-    match strategy {
-        "none" => AdversaryPlan::none(),
-        "swap" => AdversaryPlan::new(
-            budget,
-            Swap::new(Arc::new(
-                Pareto::from_mean(2.5, budget).expect("valid mean"),
-            )),
-        )
-        .expect("valid budget"),
-        "burst" => AdversaryPlan::new(budget, Burst::new(BURST_P)).expect("valid budget"),
-        "reorder" => AdversaryPlan::new(budget, Reorder::new()).expect("valid budget"),
-        "adaptive" => AdversaryPlan::new(budget, TargetHeat::new()).expect("valid budget"),
-        other => panic!("unknown strategy {other}"),
-    }
-}
-
-/// The grid at `ctx`'s scale: `(n, budgets, seeds per point)`.
-fn grids(ctx: &RunCtx) -> (u32, &'static [f64], u64) {
-    let budgets: &[f64] = ctx.scale.pick3(
-        &[1.0, 4.0][..],
-        &[1.0, 2.0, 4.0][..],
-        &[1.0, 2.0, 4.0, 8.0][..],
-    );
-    (
-        ctx.scale.pick3(16, 32, 64),
-        budgets,
-        ctx.scale.pick3(5, 40, 150),
+/// E17's committed scenario (`scenarios/e17_adversary.abes`) at `ctx`'s
+/// scale. The `trace` subcommand re-runs its cells; see
+/// `crate::trace_cli`.
+pub fn scenario(ctx: &RunCtx) -> CompiledScenario {
+    super::scenario(
+        ctx,
+        include_str!("../../../../scenarios/e17_adversary.abes"),
+        "n 32\naxis budget 1 2 4\nseeds 40",
+        "n 64\naxis budget 1 2 4 8\nseeds 150",
     )
-}
-
-/// The sweep grid E17 runs at `ctx`'s scale (also drives the `trace`
-/// subcommand's cell selection; see `crate::trace_cli`).
-pub fn spec(ctx: &RunCtx) -> SweepSpec {
-    let (_, budgets, reps) = grids(ctx);
-    SweepSpec::new()
-        .axis_str("strategy", &STRATEGIES)
-        .axis_f64("budget", budgets)
-        .seeds(reps)
-        // The baseline has no budget knob: keep it only at the first
-        // budget value so it runs once per seed, not once per budget.
-        .filter(|c| c.idx("strategy") != 0 || c.idx("budget") == 0)
-}
-
-/// The exact ring configuration E17 runs for one cell of [`spec`], plus
-/// the cell's Definition-1 per-edge expected-delay bound (the adversarial
-/// budget, or δ for the unbudgeted baseline).
-pub fn cell_config(ctx: &RunCtx, cell: &Cell) -> (RingConfig, f64) {
-    let n = grids(ctx).0;
-    let budget = cell.f64("budget");
-    let bound = if cell.idx("strategy") == 0 {
-        DELTA
-    } else {
-        budget
-    };
-    let plan = plan_for(STRATEGIES[cell.idx("strategy")], budget);
-    let run = substrate(ctx, DELTA, cell.seed()).adversary(plan);
-    (RingConfig::new(n, run), bound)
 }
 
 /// Runs E17.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
-    let (n, budgets, reps) = grids(ctx);
-    let outcome = ctx.sweep(spec(ctx), |cell| {
-        let adversarial = cell.idx("strategy") != 0;
-        let (cfg, _) = cell_config(ctx, cell);
-        let o = run_abe_calibrated(&cfg, A);
-        let metrics = CellMetrics::new().with_election(&o);
-        if adversarial {
-            metrics.with_adversary(&o.report)
-        } else {
-            // Baseline cells carry no auditor telemetry: nothing audited.
-            metrics
-        }
-    });
+    let compiled = scenario(ctx);
+    let outcome = run_scenario(ctx, &compiled);
+    let s = compiled.scenario();
+    let budgets = axis(&outcome, "budget", AxisValue::as_f64);
+    let adversary = s.adversary.as_ref().expect("e17 declares an adversary");
 
     let baseline = outcome
         .group_at(&[("strategy", 0), ("budget", 0)])
@@ -203,8 +132,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
          (adversarial scheduling attacks liveness margins, never safety)"
             .to_string(),
         format!(
-            "parameters: n = {n}, δ = {DELTA}, A0 = {A}/n², budgets {budgets:?}, \
-             {reps} seeds per point, burst p = {BURST_P}"
+            "parameters: n = {}, δ = {}, A0 = {}/n², budgets {budgets:?}, \
+             {} seeds per point, burst p = {}",
+            s.n.expect("e17 fixes n"),
+            delta(s),
+            activation(s),
+            s.seeds,
+            adversary.burst_p
         ),
     ];
 

@@ -17,79 +17,33 @@
 //! budget auditor's telemetry proving the schedule stayed a legal ABE
 //! execution.
 
-use std::sync::Arc;
-
-use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
-use abe_consensus::{default_faulty, run_benor, ConsensusConfig, InputAssignment};
-use abe_core::delay::Pareto;
-use abe_core::AdversaryPlan;
+use abe_scenario::CompiledScenario;
 use abe_stats::{fmt_num, Table};
-use abe_sweep::{CellMetrics, SweepSpec};
+use abe_sweep::AxisValue;
 
 use crate::{ExperimentReport, RunCtx};
 
-use super::substrate;
+use super::{axis, delta, run_scenario};
 
-/// Oblivious-baseline expected delay δ (exponential mean on every edge).
-pub const DELTA: f64 = 1.0;
-/// Burst probability of the heavy-tail burster.
-pub const BURST_P: f64 = 0.05;
-/// The strategy axis, baseline first (the e17 vocabulary).
-pub const STRATEGIES: [&str; 5] = ["none", "swap", "burst", "reorder", "adaptive"];
-
-/// Builds the adversary plan for one cell.
-fn plan_for(strategy: &str, budget: f64) -> AdversaryPlan {
-    match strategy {
-        "none" => AdversaryPlan::none(),
-        "swap" => AdversaryPlan::new(
-            budget,
-            Swap::new(Arc::new(
-                Pareto::from_mean(2.5, budget).expect("valid mean"),
-            )),
-        )
-        .expect("valid budget"),
-        "burst" => AdversaryPlan::new(budget, Burst::new(BURST_P)).expect("valid budget"),
-        "reorder" => AdversaryPlan::new(budget, Reorder::new()).expect("valid budget"),
-        "adaptive" => AdversaryPlan::new(budget, TargetHeat::new()).expect("valid budget"),
-        other => panic!("unknown strategy {other}"),
-    }
+/// E19's committed scenario (`scenarios/e19_benor.abes`) at `ctx`'s
+/// scale.
+pub fn scenario(ctx: &RunCtx) -> CompiledScenario {
+    super::scenario(
+        ctx,
+        include_str!("../../../../scenarios/e19_benor.abes"),
+        "axis n 4 7 10\naxis budget 1 2 4\nseeds 15",
+        "axis n 4 7 10 13\naxis budget 1 2 4 8\nseeds 60",
+    )
 }
 
 /// Runs E19.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
-    let ns: &[u32] = ctx
-        .scale
-        .pick3(&[4, 7][..], &[4, 7, 10][..], &[4, 7, 10, 13][..]);
-    let budgets: &[f64] = ctx.scale.pick3(
-        &[1.0, 4.0][..],
-        &[1.0, 2.0, 4.0][..],
-        &[1.0, 2.0, 4.0, 8.0][..],
-    );
-    let reps = ctx.scale.pick3(3, 15, 60);
-
-    let spec = SweepSpec::new()
-        .axis_u32("n", ns)
-        .axis_str("strategy", &STRATEGIES)
-        .axis_f64("budget", budgets)
-        .seeds(reps)
-        // The baseline has no budget knob: keep it only at the first
-        // budget value so it runs once per seed, not once per budget.
-        .filter(|c| c.idx("strategy") != 0 || c.idx("budget") == 0);
-    let outcome = ctx.sweep(spec, |cell| {
-        let n = cell.u32("n");
-        let adversarial = cell.idx("strategy") != 0;
-        let plan = plan_for(STRATEGIES[cell.idx("strategy")], cell.f64("budget"));
-        let run = substrate(ctx, DELTA, cell.seed()).adversary(plan);
-        let cfg = ConsensusConfig::new(n, default_faulty(n), run);
-        let o = run_benor(&cfg, InputAssignment::Split);
-        let metrics = CellMetrics::new().with_consensus(&o);
-        if adversarial {
-            metrics.with_adversary(&o.report)
-        } else {
-            // Baseline cells carry no auditor telemetry: nothing audited.
-            metrics
-        }
-    });
+    let compiled = scenario(ctx);
+    let outcome = run_scenario(ctx, &compiled);
+    let s = compiled.scenario();
+    let ns = axis(&outcome, "n", AxisValue::as_u32);
+    let budgets = axis(&outcome, "budget", AxisValue::as_f64);
+    let adversary = s.adversary.as_ref().expect("e19 declares an adversary");
 
     let widest = ns.len() - 1;
     let baseline = outcome
@@ -184,10 +138,13 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
              Definition-1 bound, zero un-clamped violations"
         ),
         format!(
-            "parameters: n in {ns:?} (f = (n-1)/3 crash budget), δ = {DELTA}, split \
-             inputs, budgets {budgets:?}, {reps} seeds per point, burst p = {BURST_P}; \
+            "parameters: n in {ns:?} (f = (n-1)/3 crash budget), δ = {}, split \
+             inputs, budgets {budgets:?}, {} seeds per point, burst p = {}; \
              coins from dedicated per-node SeedStream children (bit-identical at any \
-             --threads/--shards)"
+             --threads/--shards)",
+            delta(s),
+            s.seeds,
+            adversary.burst_p
         ),
     ];
 

@@ -6,50 +6,30 @@
 //! `O(1) / O(n) / O(n log n) / O(n²)`; the best fit must be `O(n)` and
 //! `messages/n` must stay flat.
 
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_scenario::CompiledScenario;
 use abe_stats::{best_growth, fmt_num, Table};
-use abe_sweep::{Cell, CellMetrics, SweepSpec};
 
 use crate::{ExperimentReport, RunCtx};
 
-use super::{election_stats, ring};
+use super::{activation, delta, election_stats, run_scenario};
 
-/// Activation budget: expected wake-ups per ring traversal.
-pub const A: f64 = 1.0;
-/// Expected delay bound δ used throughout.
-pub const DELTA: f64 = 1.0;
-
-/// The grid at `ctx`'s scale: `(ring sizes, seeds per point)`.
-fn grids(ctx: &RunCtx) -> (&'static [u32], u64) {
-    let sizes: &[u32] = ctx.scale.pick3(
-        &[8, 16, 64][..],
-        &[8, 16, 32, 64, 128, 256][..],
-        &[8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096][..],
-    );
-    (sizes, ctx.scale.pick3(10, 40, 200))
-}
-
-/// The sweep grid E1 runs at `ctx`'s scale (also drives the `trace`
-/// subcommand's cell selection; see `crate::trace_cli`).
-pub fn spec(ctx: &RunCtx) -> SweepSpec {
-    let (sizes, reps) = grids(ctx);
-    SweepSpec::new().axis_u32("n", sizes).seeds(reps)
-}
-
-/// The exact ring configuration E1 runs for one cell of [`spec`].
-pub fn cell_config(ctx: &RunCtx, cell: &Cell) -> RingConfig {
-    ring(ctx, cell.u32("n"), DELTA, cell.seed())
+/// E1's committed scenario (`scenarios/e1_messages.abes`) at `ctx`'s
+/// scale. The `trace` subcommand re-runs its cells; see
+/// `crate::trace_cli`.
+pub fn scenario(ctx: &RunCtx) -> CompiledScenario {
+    super::scenario(
+        ctx,
+        include_str!("../../../../scenarios/e1_messages.abes"),
+        "axis n 8 16 32 64 128 256\nseeds 40",
+        "axis n 8 16 32 64 128 256 512 1024 2048 4096\nseeds 200",
+    )
 }
 
 /// Runs E1.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
-    let reps = grids(ctx).1;
-    let outcome = ctx.sweep(spec(ctx), |cell| {
-        let o = run_abe_calibrated(&cell_config(ctx, cell), A);
-        CellMetrics::new()
-            .metric("knockouts", o.report.counter("knockouts") as f64)
-            .with_election(&o)
-    });
+    let compiled = scenario(ctx);
+    let outcome = run_scenario(ctx, &compiled);
+    let s = compiled.scenario();
 
     let mut table = Table::new(&[
         "n",
@@ -90,7 +70,12 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
                 .map(|(n, m)| m / n)
                 .fold(f64::NEG_INFINITY, f64::max),
         ),
-        format!("parameters: A0 = {A}/n², δ = {DELTA}, exponential delays, {reps} seeds per point"),
+        format!(
+            "parameters: A0 = {}/n², δ = {}, exponential delays, {} seeds per point",
+            activation(s),
+            delta(s),
+            s.seeds
+        ),
     ];
 
     ExperimentReport {
@@ -106,6 +91,8 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ring;
+    use abe_election::run_abe_calibrated;
     use abe_stats::{GrowthModel, Online};
 
     #[test]
@@ -125,7 +112,7 @@ mod tests {
             .map(|&n| {
                 let messages: Online = (0..20)
                     .map(|seed| {
-                        run_abe_calibrated(&ring(&RunCtx::quick(), n, DELTA, seed), A).messages
+                        run_abe_calibrated(&ring(&RunCtx::quick(), n, 1.0, seed), 1.0).messages
                             as f64
                     })
                     .collect();

@@ -20,62 +20,39 @@
 //! `converged`/`residual_divergence` indicators, which must be 1 and 0
 //! in every fault-free cell under every family.
 
-use std::sync::Arc;
-
-use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
-use abe_statesync::{run_antientropy, SyncConfig};
+use abe_scenario::{CompiledScenario, ProtocolSpec};
 use abe_stats::{fit_line, fmt_num, Table};
-use abe_sweep::{CellMetrics, SweepSpec};
+use abe_sweep::AxisValue;
 
 use crate::{ExperimentReport, RunCtx};
 
-use super::substrate;
+use super::{axis, delta, run_scenario};
 
-/// Expected delay bound δ (every family is calibrated to this mean).
-pub const DELTA: f64 = 1.0;
-/// Key universe size — constant across the whole grid, so wire bytes can
-/// only track the divergence axis, never the state size.
-pub const KEY_SPACE: u32 = 256;
 /// Nominal wire size of one shipped entry (key + version + payload).
 pub const ENTRY_BYTES: u64 = 20;
-/// The delay-family axis (all at expected delay [`DELTA`]).
-pub const FAMILIES: [&str; 3] = ["exp", "uniform", "det"];
 
-/// The delay model of one family, calibrated to mean [`DELTA`].
-pub fn delay_for(family: &str) -> SharedDelay {
-    match family {
-        "exp" => Arc::new(Exponential::from_mean(DELTA).expect("valid mean")),
-        "uniform" => Arc::new(Uniform::new(0.5 * DELTA, 1.5 * DELTA).expect("valid bounds")),
-        "det" => Arc::new(Deterministic::new(DELTA).expect("valid value")),
-        other => panic!("unknown delay family {other}"),
-    }
+/// E21's committed scenario (`scenarios/e21_antientropy.abes`) at
+/// `ctx`'s scale.
+pub fn scenario(ctx: &RunCtx) -> CompiledScenario {
+    super::scenario(
+        ctx,
+        include_str!("../../../../scenarios/e21_antientropy.abes"),
+        "axis n 4 8 16\naxis divergence 0.05 0.1 0.2 0.4\nseeds 8",
+        "axis n 4 8 16 32\naxis divergence 0.025 0.05 0.1 0.2 0.4 0.8\nseeds 30",
+    )
 }
 
 /// Runs E21.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
-    let ns: &[u32] = ctx
-        .scale
-        .pick3(&[4, 8][..], &[4, 8, 16][..], &[4, 8, 16, 32][..]);
-    let divergences: &[f64] = ctx.scale.pick3(
-        &[0.1, 0.4][..],
-        &[0.05, 0.1, 0.2, 0.4][..],
-        &[0.025, 0.05, 0.1, 0.2, 0.4, 0.8][..],
-    );
-    let reps = ctx.scale.pick3(2, 8, 30);
-
-    let spec = SweepSpec::new()
-        .axis_u32("n", ns)
-        .axis_f64("divergence", divergences)
-        .axis_str("delay", &FAMILIES)
-        .seeds(reps);
-    let outcome = ctx.sweep(spec, |cell| {
-        let run = substrate(ctx, DELTA, cell.seed()).delay(delay_for(FAMILIES[cell.idx("delay")]));
-        let cfg = SyncConfig::new(cell.u32("n"), KEY_SPACE, run).divergence(cell.f64("divergence"));
-        let o = run_antientropy(&cfg);
-        CellMetrics::new()
-            .with_sync(&o)
-            .metric("invented", o.invented().len() as f64)
-    });
+    let compiled = scenario(ctx);
+    let outcome = run_scenario(ctx, &compiled);
+    let s = compiled.scenario();
+    let ProtocolSpec::Antientropy { key_space } = s.protocol else {
+        panic!("e21 runs anti-entropy")
+    };
+    let ns = axis(&outcome, "n", AxisValue::as_u32);
+    let divergences = axis(&outcome, "divergence", AxisValue::as_f64);
+    let families = axis(&outcome, "delay", AxisValue::to_string);
 
     let widest = ns.len() - 1;
 
@@ -113,7 +90,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         let time = group.mean("time");
         let entries_mean = group.counter_total("sync_entries_sent") as f64 / group.len() as f64;
         if group.idx("n") == widest && group.idx("delay") == 0 {
-            let entries = group.value("divergence").as_f64() * f64::from(KEY_SPACE);
+            let entries = group.value("divergence").as_f64() * f64::from(key_space);
             byte_points.push((entries, wire));
         }
         if group.idx("delay") == 0 && group.idx("divergence") == mid_div {
@@ -140,7 +117,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     // What a naive full-image exchange would put on one replica pair, for
     // scale: the digest protocol's whole-network total at the lowest
     // divergence is compared against it.
-    let flood_pair = ENTRY_BYTES * u64::from(KEY_SPACE);
+    let flood_pair = ENTRY_BYTES * u64::from(key_space);
     let lowest_bytes = byte_points
         .iter()
         .fold(f64::INFINITY, |acc, p| acc.min(p.1));
@@ -160,7 +137,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
         ),
         format!(
             "wire bytes scale with divergence, not state size: with the key space \
-             pinned at {KEY_SPACE}, total bytes at n = {} fit {} + {} per divergent \
+             pinned at {key_space}, total bytes at n = {} fit {} + {} per divergent \
              entry (R² = {:.3}); at the lowest divergence the whole network spends \
              {} bytes, {:.2}x the {} bytes a single full-image exchange between one \
              replica pair would cost",
@@ -186,16 +163,19 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             "delay families at equal expected delay land close, as Definition 1 \
              predicts: at n = {} and divergence {} the slowest family's mean \
              convergence time is {family_spread:.2}x the fastest's \
-             (exp vs uniform vs deterministic, all at mean δ = {DELTA})",
+             (exp vs uniform vs deterministic, all at mean δ = {})",
             ns[widest],
-            fmt_num(divergences[mid_div])
+            fmt_num(divergences[mid_div]),
+            delta(s)
         ),
         format!(
-            "parameters: n in {ns:?} on K_n, key space {KEY_SPACE} (constant across \
-             the grid by design), divergence in {divergences:?}, families {FAMILIES:?} \
-             at mean δ = {DELTA}, {reps} seeds per point; fresh-write placement from \
+            "parameters: n in {ns:?} on K_n, key space {key_space} (constant across \
+             the grid by design), divergence in {divergences:?}, families {families:?} \
+             at mean δ = {}, {} seeds per point; fresh-write placement from \
              the dedicated statesync-writes SeedStream (bit-identical at any \
-             --threads/--shards)"
+             --threads/--shards)",
+            delta(s),
+            s.seeds
         ),
     ];
 
@@ -271,18 +251,23 @@ mod tests {
 
     #[test]
     fn delay_families_are_exhaustive_and_calibrated() {
-        for family in FAMILIES {
-            let d = delay_for(family);
-            assert!(
-                (d.mean().as_secs() - DELTA).abs() < 1e-9,
-                "{family} must have mean delta"
-            );
-        }
+        // The scenario sweeps the compiler's whole family vocabulary, and
+        // `delay @delay` calibrates every family to the one declared mean.
+        let compiled = scenario(&RunCtx::smoke());
+        let s = compiled.scenario();
+        assert_eq!(s.delay, abe_scenario::DelaySpec::Axis { mean: 1.0 });
+        let families = &s.axes.iter().find(|a| a.name == "delay").unwrap().values;
+        let abe_scenario::AxisValues::Str(families) = families else {
+            panic!("the delay axis names families")
+        };
+        assert_eq!(families, &abe_scenario::compile::DELAY_FAMILIES);
     }
 
     #[test]
     #[should_panic(expected = "unknown delay family")]
     fn unknown_family_panics() {
-        let _ = delay_for("cauchy");
+        let text = include_str!("../../../../scenarios/e21_antientropy.abes")
+            .replace("axis delay exp uniform det", "axis delay exp cauchy");
+        let _ = crate::experiments::scenario(&RunCtx::smoke(), &text, "", "");
     }
 }

@@ -13,7 +13,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};
 
-use super::e1_messages::{A, DELTA};
+use super::{A, DELTA};
 
 /// Runs E2.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {

@@ -26,7 +26,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};
 
-use super::e1_messages::DELTA;
+use super::DELTA;
 
 /// Calibrated per-traversal activation budgets swept in part 1.
 const BUDGETS: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];

@@ -16,7 +16,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::{election_stats, ring};
 
-use super::e1_messages::{A, DELTA};
+use super::{A, DELTA};
 
 /// The algorithm axis, in presentation order.
 const ALGORITHMS: [&str; 4] = ["abe", "itai-rodeh", "chang-roberts", "peterson"];

@@ -24,7 +24,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::election_stats;
 
-use super::e1_messages::A;
+use super::A;
 
 /// Runs E5.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {

@@ -19,7 +19,7 @@ use crate::{ExperimentReport, RunCtx};
 
 use super::election_stats;
 
-use super::e1_messages::A;
+use super::A;
 
 /// Runs E9.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {

@@ -3,11 +3,12 @@
 //!
 //! An experiment's sweep measures *aggregates*; this module answers the
 //! follow-up question "what actually happened in that cell?" It
-//! re-expands the experiment's own [`SweepSpec`], selects a single cell
-//! by `axis=value` coordinates plus a repetition index, and re-runs just
-//! that cell through the same configuration function the sweep used —
-//! with a [`Recording`] installed. The captured trace renders as
-//! `trace-v1` JSONL (see `docs/TRACE_JSON.md`) and feeds the
+//! compiles the experiment's own scenario exactly as the sweep does,
+//! selects a single cell of its [`SweepSpec`] by `axis=value`
+//! coordinates plus a repetition index, and re-runs just that cell
+//! through [`CompiledScenario::election_config`] — the configuration
+//! the sweep ran — with a [`Recording`] installed. The captured trace
+//! renders as `trace-v1` JSONL (see `docs/TRACE_JSON.md`) and feeds the
 //! [`TraceAnalysis`] report: per-node timelines, message causal chains,
 //! and the empirical Definition-1 audit, cross-checked against the
 //! `BudgetAuditor`'s own `max_edge_mean` when the cell ran under an
@@ -22,14 +23,13 @@
 use std::fmt::Write as _;
 
 use abe_core::{NetworkReport, Recording, RunRecorder};
+use abe_scenario::CompiledScenario;
 use abe_stats::json_str;
 use abe_sweep::{Cell, SweepSpec};
 use abe_telemetry::{render_header, validate_trace, JsonlSink, TraceAnalysis};
 
 use crate::experiments::{e17_adversary, e1_messages};
 use crate::RunCtx;
-
-use abe_election::run_abe_calibrated;
 
 /// One re-run of a single grid cell, with optional telemetry capture.
 #[derive(Debug)]
@@ -59,60 +59,48 @@ impl TracedRun {
     }
 }
 
-/// An experiment the `trace` subcommand can re-run cell-by-cell.
+/// An experiment the `trace` subcommand can re-run cell-by-cell: one
+/// whose committed scenario runs an election.
 #[derive(Clone, Copy)]
 pub struct TraceableExperiment {
     /// Experiment id, e.g. `"e1"`.
     pub id: &'static str,
     /// One-line description for `trace --list`.
     pub about: &'static str,
-    /// The experiment's own sweep grid at a given scale.
-    pub spec: fn(&RunCtx) -> SweepSpec,
-    /// Re-runs one cell of that grid, optionally recording.
-    pub run_cell: fn(&RunCtx, &Cell, Option<Recording>) -> TracedRun,
+    /// The experiment's compiled scenario at a given scale — the one its
+    /// sweep runs.
+    pub scenario: fn(&RunCtx) -> CompiledScenario,
 }
 
-fn e1_cell(ctx: &RunCtx, cell: &Cell, record: Option<Recording>) -> TracedRun {
-    let mut cfg = e1_messages::cell_config(ctx, cell);
-    cfg.run.record = record;
-    let o = run_abe_calibrated(&cfg, e1_messages::A);
+/// Re-runs one cell of `compiled`, optionally recording. The cell's
+/// Definition-1 bound is its adversary budget when a strategy tampers,
+/// and the delay model's mean otherwise.
+pub fn run_cell(compiled: &CompiledScenario, cell: &Cell, record: Option<Recording>) -> TracedRun {
+    let cfg = compiled.election_config(cell, record);
+    let budget = cfg.run.adversary.budget();
+    let bound = budget.unwrap_or_else(|| cfg.run.delay.mean().as_secs());
+    let o = compiled.run_election(&cfg);
     TracedRun {
-        report: o.report,
-        telemetry: o.telemetry,
-        bound: e1_messages::DELTA,
-        audited_max_edge_mean: None,
-    }
-}
-
-fn e17_cell(ctx: &RunCtx, cell: &Cell, record: Option<Recording>) -> TracedRun {
-    let (mut cfg, bound) = e17_adversary::cell_config(ctx, cell);
-    cfg.run.record = record;
-    let o = run_abe_calibrated(&cfg, e17_adversary::A);
-    let audited = (cell.idx("strategy") != 0).then_some(o.report.adversary.max_edge_mean);
-    TracedRun {
+        audited_max_edge_mean: budget.map(|_| o.report.adversary.max_edge_mean),
         report: o.report,
         telemetry: o.telemetry,
         bound,
-        audited_max_edge_mean: audited,
     }
 }
 
-/// The traceable-experiment registry. A subset of the main registry:
-/// tracing needs a per-cell configuration function, which experiments
-/// export individually (`spec` + `cell_config`).
+/// The traceable-experiment registry: a subset of the main registry,
+/// each entry's committed scenario running an election.
 pub fn trace_registry() -> Vec<TraceableExperiment> {
     vec![
         TraceableExperiment {
             id: "e1",
             about: "election message complexity — oblivious exponential delays",
-            spec: e1_messages::spec,
-            run_cell: e1_cell,
+            scenario: e1_messages::scenario,
         },
         TraceableExperiment {
             id: "e17",
             about: "election under budgeted adversaries — auditor cross-check",
-            spec: e17_adversary::spec,
-            run_cell: e17_cell,
+            scenario: e17_adversary::scenario,
         },
     ]
 }
@@ -271,11 +259,12 @@ pub fn render_chain(run: &TracedRun, edge: u32, seq: u64, limit: usize) -> Strin
 /// Returns the first violated contract as a human-readable message.
 pub fn check_cell(exp: &TraceableExperiment, ctx: &RunCtx, cell: &Cell) -> Result<String, String> {
     let full = Recording::full().payloads(true).histograms(true);
-    let untraced = (exp.run_cell)(ctx, cell, None);
+    let compiled = (exp.scenario)(ctx);
+    let untraced = run_cell(&compiled, cell, None);
     if untraced.telemetry.is_some() {
         return Err("untraced run captured telemetry".into());
     }
-    let traced = (exp.run_cell)(ctx, cell, Some(full.clone()));
+    let traced = run_cell(&compiled, cell, Some(full.clone()));
     if traced.report != untraced.report {
         return Err("recording perturbed the run: traced report differs from untraced".into());
     }
@@ -291,7 +280,7 @@ pub fn check_cell(exp: &TraceableExperiment, ctx: &RunCtx, cell: &Cell) -> Resul
 
     let mut other_ctx = *ctx;
     other_ctx.shards = if ctx.shards == 1 { 2 } else { 1 };
-    let other = (exp.run_cell)(&other_ctx, cell, Some(full));
+    let other = run_cell(&(exp.scenario)(&other_ctx), cell, Some(full));
     if other.report != traced.report {
         return Err(format!(
             "report differs between {} and {} shards",
@@ -360,7 +349,7 @@ mod tests {
     #[test]
     fn selection_pins_one_cell() {
         let ctx = RunCtx::smoke();
-        let spec = (e1().spec)(&ctx);
+        let spec = (e1().scenario)(&ctx).spec();
         let cell = select_cell(&spec, &[("n".into(), "16".into())], 3).unwrap();
         assert_eq!(cell.u32("n"), 16);
         assert_eq!(cell.rep(), 3);
@@ -369,7 +358,7 @@ mod tests {
     #[test]
     fn selection_errors_are_actionable() {
         let ctx = RunCtx::smoke();
-        let spec = (e1().spec)(&ctx);
+        let spec = (e1().scenario)(&ctx).spec();
         let err = select_cell(&spec, &[("m".into(), "16".into())], 0).unwrap_err();
         assert!(err.contains("unknown axis") && err.contains("n"), "{err}");
         let err = select_cell(&spec, &[("n".into(), "17".into())], 0).unwrap_err();
@@ -386,7 +375,7 @@ mod tests {
     #[test]
     fn traced_e1_cell_passes_every_check() {
         let ctx = RunCtx::smoke();
-        let spec = (e1().spec)(&ctx);
+        let spec = (e1().scenario)(&ctx).spec();
         let cell = select_cell(&spec, &[("n".into(), "8".into())], 0).unwrap();
         let summary = check_cell(&e1(), &ctx, &cell).unwrap();
         assert!(summary.starts_with("ok:"), "{summary}");
@@ -395,7 +384,7 @@ mod tests {
     #[test]
     fn traced_e17_adversarial_cell_cross_checks_the_auditor() {
         let ctx = RunCtx::smoke();
-        let spec = (e17().spec)(&ctx);
+        let spec = (e17().scenario)(&ctx).spec();
         let cell = select_cell(
             &spec,
             &[
@@ -407,7 +396,7 @@ mod tests {
         .unwrap();
         let summary = check_cell(&e17(), &ctx, &cell).unwrap();
         assert!(summary.starts_with("ok:"), "{summary}");
-        let run = (e17().run_cell)(&ctx, &cell, Some(Recording::full()));
+        let run = run_cell(&(e17().scenario)(&ctx), &cell, Some(Recording::full()));
         assert!(run.audited_max_edge_mean.is_some());
         let report = analysis_report(&run);
         assert!(report.contains("auditor cross-check"), "{report}");
@@ -419,9 +408,13 @@ mod tests {
     #[test]
     fn trace_file_carries_meta_and_chains_resolve() {
         let ctx = RunCtx::smoke();
-        let spec = (e1().spec)(&ctx);
+        let spec = (e1().scenario)(&ctx).spec();
         let cell = select_cell(&spec, &[("n".into(), "8".into())], 1).unwrap();
-        let run = (e1().run_cell)(&ctx, &cell, Some(Recording::full().payloads(true)));
+        let run = run_cell(
+            &(e1().scenario)(&ctx),
+            &cell,
+            Some(Recording::full().payloads(true)),
+        );
         let file = render_trace_file(&run, &trace_meta("e1", &ctx, &cell));
         let first = file.lines().next().unwrap();
         assert!(first.contains("\"experiment\":\"e1\""), "{first}");
@@ -441,9 +434,9 @@ mod tests {
     #[test]
     fn capped_recording_notes_the_eviction_in_the_report() {
         let ctx = RunCtx::smoke();
-        let spec = (e1().spec)(&ctx);
+        let spec = (e1().scenario)(&ctx).spec();
         let cell = select_cell(&spec, &[("n".into(), "8".into())], 0).unwrap();
-        let run = (e1().run_cell)(&ctx, &cell, Some(Recording::ring(4)));
+        let run = run_cell(&(e1().scenario)(&ctx), &cell, Some(Recording::ring(4)));
         assert!(run.recorder().dropped() > 0);
         let report = analysis_report(&run);
         assert!(report.contains("evicted by the retention cap"), "{report}");

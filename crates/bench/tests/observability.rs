@@ -18,7 +18,6 @@ use abe_bench::experiments::e1_messages;
 use abe_bench::sweep;
 use abe_bench::{trace_cli, RunCtx, Scale};
 use abe_core::Recording;
-use abe_election::run_abe_calibrated;
 use abe_sweep::{run_sweep, Cell, CellMetrics};
 
 /// Removes the run-specific `"engine":{...},` stanza (flat object — no
@@ -51,11 +50,14 @@ fn e1_smoke_document_is_pinned_with_recording_off() {
 fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
     let ctx = RunCtx::smoke();
     // Aggregate-only budget: retain nothing, histogram everything.
-    let spec = || e1_messages::spec(&ctx).telemetry(Recording::ring(0).histograms(true));
+    let compiled = e1_messages::scenario(&ctx);
+    let spec = || {
+        compiled
+            .spec()
+            .telemetry(Recording::ring(0).histograms(true))
+    };
     let run_cell = |cell: &Cell| {
-        let mut cfg = e1_messages::cell_config(&ctx, cell);
-        cfg.run.record = cell.recording().cloned();
-        let o = run_abe_calibrated(&cfg, e1_messages::A);
+        let o = compiled.run_election(&compiled.election_config(cell, cell.recording().cloned()));
         let mut metrics = CellMetrics::new().with_election(&o);
         if let Some(h) = o.telemetry.as_deref().and_then(|r| r.histograms()) {
             metrics = metrics.with_hist(h.to_json());
@@ -73,11 +75,7 @@ fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
     }
 
     // The recorded metrics equal the untraced sweep's, cell for cell.
-    let untraced = run_sweep(&e1_messages::spec(&ctx), 1, |cell| {
-        let o = run_abe_calibrated(&e1_messages::cell_config(&ctx, cell), e1_messages::A);
-        CellMetrics::new().with_election(&o)
-    })
-    .unwrap();
+    let untraced = compiled.run(1).unwrap();
     assert_eq!(single.cells.len(), untraced.cells.len());
     for (traced, plain) in single.cells.iter().zip(&untraced.cells) {
         assert_eq!(
@@ -103,15 +101,21 @@ fn trace_bytes_are_thread_and_shard_invariant() {
         ctx.shards = shards;
         ctx
     };
-    let spec = (exp.spec)(&mk(1, 1));
+    let spec = (exp.scenario)(&mk(1, 1)).spec();
     let cell = trace_cli::select_cell(&spec, &[("n".into(), "16".into())], 2).unwrap();
     let record = || Some(Recording::full().payloads(true).histograms(true));
     let meta = trace_cli::trace_meta("e1", &mk(1, 1), &cell);
-    let base = trace_cli::render_trace_file(&(exp.run_cell)(&mk(1, 1), &cell, record()), &meta);
+    let base = trace_cli::render_trace_file(
+        &trace_cli::run_cell(&(exp.scenario)(&mk(1, 1)), &cell, record()),
+        &meta,
+    );
     abe_telemetry::validate_trace(&base).unwrap();
     for (threads, shards) in [(8, 1), (1, 2), (8, 4)] {
         let ctx = mk(threads, shards);
-        let other = trace_cli::render_trace_file(&(exp.run_cell)(&ctx, &cell, record()), &meta);
+        let other = trace_cli::render_trace_file(
+            &trace_cli::run_cell(&(exp.scenario)(&ctx), &cell, record()),
+            &meta,
+        );
         assert_eq!(base, other, "threads={threads} shards={shards}");
     }
 }

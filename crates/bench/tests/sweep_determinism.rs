@@ -271,15 +271,13 @@ mod adversary_regression {
                 cell.u32("n"),
                 RunConfig::new()
                     .delay(Arc::new(
-                        abe_core::delay::Exponential::from_mean(
-                            abe_bench::experiments::e1_messages::DELTA,
-                        )
-                        .unwrap(),
+                        abe_core::delay::Exponential::from_mean(abe_bench::experiments::DELTA)
+                            .unwrap(),
                     ))
                     .seed(cell.seed())
                     .adversary(AdversaryPlan::none()),
             );
-            let o = run_abe_calibrated(&cfg, abe_bench::experiments::e1_messages::A);
+            let o = run_abe_calibrated(&cfg, abe_bench::experiments::A);
             CellMetrics::new()
                 .metric("knockouts", o.report.counter("knockouts") as f64)
                 .with_election(&o)
@@ -430,88 +428,57 @@ mod sync_regression {
 }
 
 mod scenario_differential {
-    //! The declarative corpus must be *the same experiments as data*:
-    //! compiling `scenarios/e1_messages.abes` and running it must
-    //! reproduce the hand-written `e1_messages::run` sweep block byte
-    //! for byte, at any worker count. The same holds for the e14 and
-    //! e17 ports (fault plans and adversary plans included).
+    //! The experiments with a committed `.abes` file *are* that file:
+    //! at smoke scale each one runs its scenario unchanged, and the
+    //! campaign diffs every scenario's document against its committed
+    //! golden — so the goldens pin the experiments themselves.
 
     use super::*;
+    use abe_bench::experiments::{
+        e14_crash_churn, e17_adversary, e19_benor, e1_messages, e21_antientropy,
+    };
+    use abe_scenario::campaign::{run_campaign, CampaignOptions};
     use abe_scenario::{compile, parse};
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
+
+    fn corpus_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+    }
 
     fn corpus_scenario(file: &str) -> abe_scenario::Scenario {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../scenarios")
-            .join(file);
+        let path = corpus_dir().join(file);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
         parse(&text).unwrap_or_else(|e| panic!("parsing {file}: {e}"))
     }
 
     #[test]
-    fn declarative_e1_is_byte_identical_to_the_handwritten_experiment() {
-        let compiled = compile(&corpus_scenario("e1_messages.abes")).unwrap();
-        for threads in [1usize, 8] {
-            let declarative = compiled.run(threads).unwrap();
-            let handwritten = experiments::e1_messages::run(&RunCtx::new(Scale::Smoke, threads));
-            assert_eq!(
-                declarative.metrics_json(),
-                handwritten.sweep.metrics_json(),
-                "e1 scenario diverges from e1_messages.rs at {threads} threads"
-            );
+    fn smoke_experiments_run_their_committed_scenarios_unchanged() {
+        let ctx = RunCtx::smoke();
+        assert_eq!((ctx.base_seed, ctx.shards), (0, 1));
+        for (file, compiled) in [
+            ("e1_messages.abes", e1_messages::scenario(&ctx)),
+            ("e14_crash_churn.abes", e14_crash_churn::scenario(&ctx)),
+            ("e17_adversary.abes", e17_adversary::scenario(&ctx)),
+            ("e19_benor.abes", e19_benor::scenario(&ctx)),
+            ("e21_antientropy.abes", e21_antientropy::scenario(&ctx)),
+        ] {
+            assert_eq!(compiled.scenario(), &corpus_scenario(file), "{file}");
         }
     }
 
     #[test]
-    fn declarative_e14_is_byte_identical_to_the_handwritten_experiment() {
-        let compiled = compile(&corpus_scenario("e14_crash_churn.abes")).unwrap();
-        let declarative = compiled.run(4).unwrap();
-        let handwritten = experiments::e14_crash_churn::run(&RunCtx::new(Scale::Smoke, 4));
-        assert_eq!(
-            declarative.metrics_json(),
-            handwritten.sweep.metrics_json(),
-            "e14 scenario diverges from e14_crash_churn.rs"
-        );
-    }
-
-    #[test]
-    fn declarative_e17_is_byte_identical_to_the_handwritten_experiment() {
-        let compiled = compile(&corpus_scenario("e17_adversary.abes")).unwrap();
-        let declarative = compiled.run(4).unwrap();
-        let handwritten = experiments::e17_adversary::run(&RunCtx::new(Scale::Smoke, 4));
-        assert_eq!(
-            declarative.metrics_json(),
-            handwritten.sweep.metrics_json(),
-            "e17 scenario diverges from e17_adversary.rs"
-        );
-    }
-
-    #[test]
-    fn declarative_e19_is_byte_identical_to_the_handwritten_experiment() {
-        let compiled = compile(&corpus_scenario("e19_benor.abes")).unwrap();
-        let declarative = compiled.run(4).unwrap();
-        let handwritten = experiments::e19_benor::run(&RunCtx::new(Scale::Smoke, 4));
-        assert_eq!(
-            declarative.metrics_json(),
-            handwritten.sweep.metrics_json(),
-            "e19 scenario diverges from e19_benor.rs"
-        );
-    }
-
-    #[test]
-    fn declarative_e21_is_byte_identical_to_the_handwritten_experiment() {
-        let compiled = compile(&corpus_scenario("e21_antientropy.abes")).unwrap();
-        for threads in [1usize, 8] {
-            let declarative = compiled.run(threads).unwrap();
-            let handwritten =
-                experiments::e21_antientropy::run(&RunCtx::new(Scale::Smoke, threads));
-            assert_eq!(
-                declarative.metrics_json(),
-                handwritten.sweep.metrics_json(),
-                "e21 scenario diverges from e21_antientropy.rs at {threads} threads"
-            );
-        }
+    fn committed_corpus_matches_its_goldens() {
+        let report = run_campaign(&CampaignOptions {
+            scenarios_dir: corpus_dir(),
+            goldens_dir: corpus_dir().join("goldens"),
+            threads: 2,
+            shards: 1,
+            bless: false,
+        })
+        .expect("the corpus directory lists");
+        assert!(!report.results.is_empty(), "no scenarios in the corpus");
+        assert!(report.ok(), "{}", report.render());
     }
 
     #[test]
@@ -618,15 +585,13 @@ mod fault_regression {
                 cell.u32("n"),
                 RunConfig::new()
                     .delay(Arc::new(
-                        abe_core::delay::Exponential::from_mean(
-                            abe_bench::experiments::e1_messages::DELTA,
-                        )
-                        .unwrap(),
+                        abe_core::delay::Exponential::from_mean(abe_bench::experiments::DELTA)
+                            .unwrap(),
                     ))
                     .seed(cell.seed())
                     .fault(FaultPlan::new()),
             );
-            let o = run_abe_calibrated(&cfg, abe_bench::experiments::e1_messages::A);
+            let o = run_abe_calibrated(&cfg, abe_bench::experiments::A);
             CellMetrics::new()
                 .metric("knockouts", o.report.counter("knockouts") as f64)
                 .with_election(&o)

@@ -3,15 +3,14 @@
 //! [`compile`] performs every semantic check — axis/bind consistency,
 //! parameter ranges, protocol/topology compatibility — and returns a
 //! [`CompiledScenario`] whose [`run`](CompiledScenario::run) drives
-//! [`abe_sweep::run_sweep`] unchanged. Per-cell seeds therefore come
-//! from grid coordinates exactly as in the hand-written experiments,
-//! and each [`RecordMode`] replicates the metric set of its experiment
-//! family byte-for-byte (e1 ← `Election`, e14 ← `Classified`, e17 ←
-//! `Adversary`) — with one deliberate difference: where the harness
-//! asserts termination (`CellMetrics::with_election` panics on a
-//! stalled run), the compiled runner records the stall and leaves the
-//! verdict to the campaign oracles, so a regressing scenario produces a
-//! readable report instead of a worker panic.
+//! [`abe_sweep::run_sweep`] unchanged, with per-cell seeds from grid
+//! coordinates. Each [`RecordMode`] is the metric set of one experiment
+//! family (e1 ← `Election`, e14 ← `Classified`, e17 ← `Adversary`, e19
+//! ← `Consensus`, e21 ← `Sync`). A stalled run is recorded, never
+//! asserted away (`CellMetrics::with_election` would panic on it): the
+//! verdict belongs to the outcome oracles, so a regressing scenario
+//! produces a readable report naming its cells instead of a worker
+//! panic.
 
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_consensus::{default_faulty, run_benor, run_brb, ConsensusConfig, InputAssignment};
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform, Weibull};
 use abe_core::fault::FaultPlan;
-use abe_core::{AdversaryPlan, OutcomeClass, RunConfig};
+use abe_core::{AdversaryPlan, OutcomeClass, Recording, RunConfig};
 use abe_election::{
     run_abe, run_abe_calibrated, run_chang_roberts, run_itai_rodeh, run_peterson, ElectionOutcome,
     RingConfig, RingKind,
@@ -33,10 +32,10 @@ use crate::model::{
     TopologySpec,
 };
 
-/// The adversary strategy vocabulary, baseline first (mirrors e17).
+/// The adversary strategy vocabulary, baseline first (e17 sweeps it).
 pub const STRATEGIES: [&str; 5] = ["none", "swap", "burst", "reorder", "adaptive"];
 
-/// The delay-family vocabulary of the `delay` axis (mirrors e21): every
+/// The delay-family vocabulary of the `delay` axis (e21 sweeps it): every
 /// family is calibrated to the mean of the `delay @delay mean=M`
 /// directive.
 pub const DELAY_FAMILIES: [&str; 3] = ["exp", "uniform", "det"];
@@ -608,8 +607,8 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
     })
 }
 
-/// One `delay` axis family, calibrated to the directive's mean exactly
-/// as the hand-written e21 calibrates its families to δ.
+/// One `delay` axis family, calibrated to the directive's mean (e21
+/// sweeps all three at δ).
 fn family_delay(family: &str, mean: f64) -> Result<SharedDelay, ScenarioError> {
     Ok(match family {
         "exp" => Arc::new(Exponential::from_mean(mean).expect("validated")),
@@ -749,12 +748,12 @@ impl CompiledScenario {
     }
 
     /// Builds the substrate half of the cell's configuration — delay,
-    /// seed, event budget, shards, churn plan, adversary plan — exactly
-    /// as the hand-written experiments do: a fault plan (seeded with the
-    /// e14 churn idiom) is only installed when the scenario has a `fault`
-    /// stanza and an adversary plan only when a stanza resolves to a
-    /// strategy — an absent stanza leaves the `RunConfig` defaults, which
-    /// the sweep regression tests prove byte-identical to empty plans.
+    /// seed, event budget, shards, churn plan, adversary plan. A fault
+    /// plan (churn seeded from the cell seed's `churn-plan` child) is
+    /// only installed when the scenario has a `fault` stanza and an
+    /// adversary plan only when a stanza resolves to a strategy — an
+    /// absent stanza leaves the `RunConfig` defaults, which the sweep
+    /// regression tests prove byte-identical to empty plans.
     fn cell_run(&self, cell: &Cell) -> RunConfig {
         let mut run = RunConfig::new()
             .delay(self.cell_delay(cell))
@@ -780,7 +779,22 @@ impl CompiledScenario {
         run
     }
 
-    fn run_protocol(&self, cfg: &RingConfig) -> ElectionOutcome {
+    /// One election cell's ring configuration, with telemetry recording
+    /// `record` installed (`None` records nothing). The sweep runs every
+    /// cell through here with `None`; the `trace` subcommand re-runs one
+    /// cell with a recording, so both see the same configuration.
+    pub fn election_config(&self, cell: &Cell, record: Option<Recording>) -> RingConfig {
+        let mut run = self.cell_run(cell);
+        run.record = record;
+        RingConfig::new(self.cell_n(cell), run).kind(self.cell_kind(cell))
+    }
+
+    /// Runs the scenario's election protocol on `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario runs a consensus or sync protocol.
+    pub fn run_election(&self, cfg: &RingConfig) -> ElectionOutcome {
         match self.scenario.protocol {
             ProtocolSpec::AbeCalibrated { a } => run_abe_calibrated(cfg, a),
             ProtocolSpec::Abe { a0 } => run_abe(cfg, a0),
@@ -823,10 +837,8 @@ impl CompiledScenario {
     /// Runs one consensus cell: the e19/e20 metric set — outcome-class
     /// indicators plus progress and complexity — with fault telemetry
     /// iff the scenario injects faults and adversary telemetry iff the
-    /// cell's resolved strategy tampers, so declarative consensus ports
-    /// stay byte-comparable with their hand-written originals. As there,
-    /// `faulty` defaults to the largest legal budget `(n - 1) / 3`
-    /// derived per cell.
+    /// cell's resolved strategy tampers. `faulty` defaults to the largest
+    /// legal budget `(n - 1) / 3` derived per cell.
     fn consensus_metrics(&self, cell: &Cell) -> CellMetrics {
         let n = self.cell_n(cell);
         let f = self.scenario.faulty.unwrap_or_else(|| default_faulty(n));
@@ -852,7 +864,7 @@ impl CompiledScenario {
     }
 
     /// Builds the cell's anti-entropy configuration: divergence from the
-    /// directive or its axis, as in the hand-written e21/e22.
+    /// directive or its axis.
     fn cell_sync_config(&self, cell: &Cell) -> SyncConfig {
         let ProtocolSpec::Antientropy { key_space } = self.scenario.protocol else {
             unreachable!("record sync requires `protocol antientropy`")
@@ -893,9 +905,7 @@ impl CompiledScenario {
         if self.scenario.record == RecordMode::Sync {
             return self.sync_metrics(cell);
         }
-        let cfg =
-            RingConfig::new(self.cell_n(cell), self.cell_run(cell)).kind(self.cell_kind(cell));
-        let o = self.run_protocol(&cfg);
+        let o = self.run_election(&self.election_config(cell, None));
         match self.scenario.record {
             RecordMode::Election => {
                 election_metrics(&o).metric("knockouts", o.report.counter("knockouts") as f64)

@@ -321,7 +321,7 @@ fn is_baseline(p: &ProtocolSpec) -> bool {
 
 /// ABE protocols with safe parameters; baselines only when allowed
 /// (fault and adversary scenarios stay on the ABE protocols the
-/// hand-written experiments exercise).
+/// experiments exercise).
 fn random_protocol(p: &Picker, allow_baselines: bool) -> ProtocolSpec {
     let limit = if allow_baselines { 5 } else { 2 };
     match p.pick("protocol", limit) {

@@ -2,8 +2,7 @@
 //!
 //! Every experiment in this workspace is the composition of five
 //! orthogonal builder APIs — topology, delay model, fault plan, adversary
-//! plan, and protocol — times a sweep grid. Composing them used to be
-//! hand-written Rust (one `e*.rs` per experiment); this crate turns the
+//! plan, and protocol — times a sweep grid. This crate turns that
 //! composition into **data**:
 //!
 //! * a [`Scenario`] names a complete experiment: the fixed configuration,
@@ -13,10 +12,10 @@
 //!   under `scenarios/` at the repository root is written in it;
 //! * the compiler ([`compile()`](compile())) lowers a scenario onto the existing
 //!   [`abe_sweep`] engine **unchanged**: the lowered spec derives per-cell
-//!   seeds from grid coordinates exactly like the hand-written
-//!   experiments, so a scenario's metric JSON is byte-identical at any
-//!   worker count — and the declarative port of `e1` is byte-identical to
-//!   the hand-written `e1.rs`;
+//!   seeds from grid coordinates, so a scenario's metric JSON is
+//!   byte-identical at any worker count — the `abe-bench` experiments
+//!   e1, e14, e17, e19 and e21 are their `scenarios/*.abes` files, run
+//!   through this compiler;
 //! * the campaign runner ([`campaign`]) executes a corpus directory,
 //!   diffs each scenario's deterministic `"sweep"` block against a
 //!   committed golden, and checks per-cell **outcome oracles** (exactly

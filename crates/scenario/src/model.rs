@@ -28,15 +28,15 @@ pub use abe_core::fault::OutcomeClass;
 
 /// Default event cap per cell, mirroring the `RunConfig` default so a
 /// scenario without a `max-events` directive behaves exactly like a
-/// hand-written experiment without `.max_events(..)`.
+/// `RunConfig` without `.max_events(..)`.
 pub const DEFAULT_MAX_EVENTS: u64 = 5_000_000;
 
-/// Default burst probability for the `burst` adversary strategy
-/// (matches the hand-written `e17` experiment).
+/// Default burst probability for the `burst` adversary strategy (the
+/// value `e17` declares).
 pub const DEFAULT_BURST_P: f64 = 0.05;
 
 /// Default Pareto shape for the `swap` / `adaptive` adversary delay
-/// resampling distribution (matches the hand-written `e17` experiment).
+/// resampling distribution (the value `e17` declares).
 pub const DEFAULT_PARETO_SHAPE: f64 = 2.5;
 
 /// Which protocol a scenario runs: a ring election, or a consensus
@@ -102,8 +102,8 @@ pub enum TopologySpec {
 }
 
 /// Channel delay distribution. Every variant corresponds to one
-/// constructor in `abe_core::delay`, and every parameter is a mean /
-/// shape in the same units the hand-written experiments use.
+/// constructor in `abe_core::delay`; means, values and bounds are in
+/// simulated seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DelaySpec {
     /// Exponential with the given mean.
@@ -197,9 +197,8 @@ pub struct FilterSpec {
     pub only_value: String,
 }
 
-/// Which per-cell metric set the compiled runner records. Each mode
-/// replicates the metric set of one hand-written experiment family, so
-/// declarative ports stay byte-comparable with their `e*.rs` originals.
+/// Which per-cell metric set the compiled runner records: each mode is
+/// the metric set of one experiment family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordMode {
     /// e1-style election metrics: `knockouts`, `messages`, `time`,

@@ -19,10 +19,11 @@
 //!   renders a byte-stable JSON fragment via
 //!   [`SweepOutcome::metrics_json`].
 //!
-//! The engine is deliberately experiment-agnostic: `abe-bench` builds its
-//! hand-written experiments on it, and `abe-scenario` lowers declarative
-//! `.abes` scenario files onto the very same [`SweepSpec`]/[`run_sweep`]
-//! pair — both produce byte-identical metric blocks at any worker count.
+//! The engine is deliberately experiment-agnostic: `abe-scenario` lowers
+//! declarative `.abes` scenario files onto it, and the `abe-bench`
+//! experiments without a scenario build their [`SweepSpec`] in Rust —
+//! both run through [`run_sweep`] and produce byte-identical metric
+//! blocks at any worker count.
 //!
 //! ## Example
 //!
