@@ -17,7 +17,7 @@ use crate::adversary::AdversaryPlan;
 use crate::class::NetworkClass;
 use crate::clock::ClockSpec;
 use crate::delay::{DelayModel, Deterministic, Exponential, SharedDelay};
-use crate::error::BuildError;
+use crate::error::{BuildError, InvalidParamError};
 use crate::fault::{FaultPlan, FaultRuntime};
 use crate::net::Network;
 use crate::protocol::Protocol;
@@ -156,17 +156,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Sets the local-clock interval between ticks (in local seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is not finite and positive.
-    #[track_caller]
+    /// Sets the local-clock interval between ticks (in local seconds);
+    /// validated at build time.
     pub fn tick_interval(mut self, interval: f64) -> Self {
-        assert!(
-            interval.is_finite() && interval > 0.0,
-            "tick interval must be finite and positive, got {interval}"
-        );
         self.tick_interval = interval;
         self
     }
@@ -238,13 +230,22 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if a per-edge delay list has the wrong length or
-    /// the declared [`NetworkClass`] is violated by the configuration.
+    /// Returns an error if the tick interval is not finite and positive,
+    /// a per-edge delay list has the wrong length, or the declared
+    /// [`NetworkClass`] is violated by the configuration.
     pub fn build<P, F>(self, mut factory: F) -> Result<Network<P>, BuildError>
     where
         P: Protocol,
         F: FnMut(usize) -> P,
     {
+        if !(self.tick_interval.is_finite() && self.tick_interval > 0.0) {
+            return Err(InvalidParamError::new(
+                "tick_interval",
+                "must be finite and positive",
+                self.tick_interval,
+            )
+            .into());
+        }
         let edge_count = self.topo.edge_count();
         let edge_delays: Vec<SharedDelay> = match self.edge_delays {
             Some(models) => {
@@ -302,6 +303,7 @@ impl NetworkBuilder {
         Ok(Network::assemble(
             self.topo,
             protos,
+            self.clocks,
             clocks,
             node_rngs,
             edge_delays,

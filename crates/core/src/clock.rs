@@ -117,7 +117,6 @@ impl ClockSpec {
     pub fn instantiate(&self, rng: &mut Xoshiro256PlusPlus) -> LocalClock {
         let rate = self.draw_rate(rng);
         LocalClock {
-            spec: *self,
             rate,
             local: 0.0,
             last_real: SimTime::ZERO,
@@ -128,10 +127,11 @@ impl ClockSpec {
 /// One node's local clock: maps real time to local time at a bounded rate.
 ///
 /// The mapping is piecewise linear: within a segment the rate is constant;
-/// [`DriftMode::Wander`] re-draws the rate at tick boundaries.
+/// [`DriftMode::Wander`] re-draws the rate at tick boundaries. The
+/// population's [`ClockSpec`] is not stored per clock: the network holds
+/// one and passes it to [`real_interval`](Self::real_interval).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalClock {
-    spec: ClockSpec,
     rate: f64,
     local: f64,
     last_real: SimTime,
@@ -162,14 +162,15 @@ impl LocalClock {
     }
 
     /// Real-time duration of the next local interval of length
-    /// `local_interval`, re-drawing the rate first under
-    /// [`DriftMode::Wander`].
+    /// `local_interval`, re-drawing the rate from `spec` (the spec this
+    /// clock was instantiated from) first under [`DriftMode::Wander`].
     ///
     /// # Panics
     ///
     /// Panics if `local_interval` is not finite and positive.
     pub fn real_interval(
         &mut self,
+        spec: &ClockSpec,
         local_interval: f64,
         rng: &mut Xoshiro256PlusPlus,
     ) -> SimDuration {
@@ -177,8 +178,8 @@ impl LocalClock {
             local_interval.is_finite() && local_interval > 0.0,
             "local_interval must be finite and positive, got {local_interval}"
         );
-        if self.spec.drift == DriftMode::Wander {
-            self.rate = self.spec.draw_rate(rng);
+        if spec.drift == DriftMode::Wander {
+            self.rate = spec.draw_rate(rng);
         }
         SimDuration::from_secs(local_interval / self.rate)
     }
@@ -262,7 +263,7 @@ mod tests {
         let mut clock = spec.instantiate(&mut rng(6));
         let mut r = rng(7);
         // Rate 2 local/real: one local unit takes 0.5 real seconds.
-        assert_eq!(clock.real_interval(1.0, &mut r).as_secs(), 0.5);
+        assert_eq!(clock.real_interval(&spec, 1.0, &mut r).as_secs(), 0.5);
     }
 
     #[test]
@@ -272,7 +273,7 @@ mod tests {
         let mut r = rng(9);
         let mut rates = std::collections::HashSet::new();
         for _ in 0..100 {
-            let d = clock.real_interval(1.0, &mut r);
+            let d = clock.real_interval(&spec, 1.0, &mut r);
             assert!((0.5..=2.0).contains(&clock.rate()));
             // interval = 1/rate ∈ [0.5, 2.0]
             assert!((0.5..=2.0).contains(&d.as_secs()));
@@ -288,7 +289,7 @@ mod tests {
         let initial = clock.rate();
         let mut r = rng(11);
         for _ in 0..10 {
-            clock.real_interval(1.0, &mut r);
+            clock.real_interval(&spec, 1.0, &mut r);
             assert_eq!(clock.rate(), initial);
         }
     }
@@ -312,7 +313,7 @@ mod tests {
                 assert!(dl >= 0.25 * dt - 1e-9 && dl <= 4.0 * dt + 1e-9);
                 prev_local = local;
                 // Occasionally re-draw the rate (as ticks would).
-                clock.real_interval(1.0, &mut step_rng);
+                clock.real_interval(&spec, 1.0, &mut step_rng);
             }
         }
     }
@@ -320,8 +321,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "local_interval")]
     fn real_interval_rejects_non_positive() {
-        let mut clock = ClockSpec::perfect().instantiate(&mut rng(13));
+        let spec = ClockSpec::perfect();
+        let mut clock = spec.instantiate(&mut rng(13));
         let mut r = rng(14);
-        clock.real_interval(0.0, &mut r);
+        clock.real_interval(&spec, 0.0, &mut r);
     }
 }

@@ -305,6 +305,24 @@ mod tests {
     }
 
     #[test]
+    fn invalid_tick_interval_fails_build() {
+        for interval in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = NetworkBuilder::new(Topology::unidirectional_ring(3).unwrap())
+                .tick_interval(interval)
+                .build(|_| Pinger {
+                    is_source: false,
+                    to_send: 0,
+                    received: 0,
+                })
+                .unwrap_err();
+            match err {
+                BuildError::InvalidParam(e) => assert_eq!(e.param, "tick_interval"),
+                other => panic!("tick_interval {interval}: unexpected {other}"),
+            }
+        }
+    }
+
+    #[test]
     fn class_violation_fails_build() {
         let class = NetworkClass::Abe(AbeParams::with_delta(0.5).unwrap());
         let err = NetworkBuilder::new(Topology::unidirectional_ring(3).unwrap())

@@ -24,7 +24,7 @@ use abe_sim::{
 use abe_telemetry::{Recording, RunRecorder, TraceEvent};
 
 use crate::adversary::{AdversaryRuntime, AdversaryStats};
-use crate::clock::LocalClock;
+use crate::clock::{ClockSpec, LocalClock};
 use crate::delay::SharedDelay;
 use crate::fault::{FaultRuntime, FaultStats, SendFate};
 use crate::protocol::{Ctx, InPort, Mark, Protocol};
@@ -342,10 +342,9 @@ pub struct ShardTiming {
 /// [`Network::run`].
 pub struct Network<P: Protocol> {
     pub(crate) topo: Arc<Topology>,
-    /// Per node: in-port index → reverse out-port (bidirectional links).
-    /// Shared (immutable) so shard partitions don't duplicate it.
-    pub(crate) reply_ports: Arc<Vec<Vec<Option<usize>>>>,
     pub(crate) nodes: Vec<NodeSlot<P>>,
+    /// The clock population every node's [`LocalClock`] was drawn from.
+    pub(crate) clocks: ClockSpec,
     pub(crate) channels: Vec<ChannelState>,
     pub(crate) processing: SharedDelay,
     /// Scratch stream handed to non-consuming processing models (see
@@ -390,8 +389,8 @@ where
     fn clone(&self) -> Self {
         Self {
             topo: Arc::clone(&self.topo),
-            reply_ports: Arc::clone(&self.reply_ports),
             nodes: self.nodes.clone(),
+            clocks: self.clocks,
             channels: self.channels.clone(),
             processing: Arc::clone(&self.processing),
             proc_rng: self.proc_rng.clone(),
@@ -426,6 +425,7 @@ impl<P: Protocol> Network<P> {
     pub(crate) fn assemble(
         topo: Topology,
         protos: Vec<P>,
+        clock_spec: ClockSpec,
         clocks: Vec<LocalClock>,
         node_rngs: Vec<Xoshiro256PlusPlus>,
         edge_delays: Vec<SharedDelay>,
@@ -467,18 +467,10 @@ impl<P: Protocol> Network<P> {
                 sent: 0,
             })
             .collect();
-        let reply_ports = topo
-            .nodes()
-            .map(|node| {
-                (0..topo.in_degree(node))
-                    .map(|in_port| topo.reverse_port(node, in_port))
-                    .collect()
-            })
-            .collect();
         Self {
-            reply_ports: Arc::new(reply_ports),
             topo: Arc::new(topo),
             nodes,
+            clocks: clock_spec,
             channels,
             processing,
             proc_rng,
@@ -675,7 +667,7 @@ impl<P: Protocol> Network<P> {
 
         let local = self.node_slot(node_index);
         let (outbox, counters, marks, payload_bytes, stop) = {
-            let reply_ports = &self.reply_ports[node_index as usize];
+            let reply_ports = self.topo.reply_ports(node_id);
             let slot = &mut self.nodes[local];
             let local_time = slot.clock.advance_to(step.now());
             let mut ctx = Ctx::new(
@@ -873,9 +865,11 @@ impl<P: Protocol> Network<P> {
                 let stride = slot.proto.tick_stride(&mut slot.rng).max(1);
                 // Under wandering drift the rate is re-drawn once per
                 // stride; rates stay within the clock bounds throughout.
-                let interval = slot
-                    .clock
-                    .real_interval(self.tick_interval * stride as f64, &mut slot.rng);
+                let interval = slot.clock.real_interval(
+                    &self.clocks,
+                    self.tick_interval * stride as f64,
+                    &mut slot.rng,
+                );
                 let at = step.now() + interval;
                 let token = step.schedule_at_keyed(
                     at,
@@ -1026,6 +1020,21 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Network<P> {
             .field("messages_delivered", &self.messages_delivered)
             .field("ticks", &self.ticks)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod layout_tests {
+    use super::*;
+
+    /// Pins the per-node and per-edge footprint of the runtime: a field
+    /// added to either path shows up as an edit here.
+    #[test]
+    fn per_node_and_per_edge_state_stay_small() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<LocalClock>(), 24);
+        assert!(size_of::<ChannelState>() <= 72);
+        assert!(size_of::<NodeSlot<[u64; 5]>>() <= 136);
     }
 }
 

@@ -14,6 +14,8 @@ use std::fmt;
 use abe_sim::Xoshiro256PlusPlus;
 use smallvec::SmallVec;
 
+use crate::topology::NO_REPLY;
+
 /// Position of an incoming edge in a node's in-edge list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InPort(pub usize);
@@ -212,8 +214,9 @@ pub struct Ctx<'a, M> {
     network_size: u32,
     out_degree: usize,
     in_degree: usize,
-    /// Per-in-port reverse out-port, if the reverse edge exists.
-    reply_ports: &'a [Option<usize>],
+    /// Per-in-port reverse out-port, or [`NO_REPLY`] (see
+    /// [`Topology::reply_ports`](crate::Topology::reply_ports)).
+    reply_ports: &'a [u32],
     rng: &'a mut Xoshiro256PlusPlus,
     outbox: Outbox<M>,
     counters: CounterBumps,
@@ -229,7 +232,7 @@ impl<'a, M> Ctx<'a, M> {
         network_size: u32,
         out_degree: usize,
         in_degree: usize,
-        reply_ports: &'a [Option<usize>],
+        reply_ports: &'a [u32],
         rng: &'a mut Xoshiro256PlusPlus,
     ) -> Self {
         Self {
@@ -320,7 +323,8 @@ impl<'a, M> Ctx<'a, M> {
     /// can answer whoever it heard from without learning identities.
     /// Returns `None` on asymmetric edges (e.g. unidirectional rings).
     pub fn reply_port(&self, from: InPort) -> Option<OutPort> {
-        self.reply_ports.get(from.0).copied().flatten().map(OutPort)
+        let port = *self.reply_ports.get(from.0)?;
+        (port != NO_REPLY).then_some(OutPort(port as usize))
     }
 
     /// This node's private random stream.
@@ -382,13 +386,14 @@ impl<'a, M> Ctx<'a, M> {
     ///
     /// The built-in [`Network`](crate::Network) constructs contexts
     /// internally; this constructor exists so the same [`Protocol`] values
-    /// can be driven by other executors.
+    /// can be driven by other executors. `reply_ports` is the node's
+    /// [`Topology::reply_ports`](crate::Topology::reply_ports) slice.
     pub fn external(
         local_time: f64,
         network_size: u32,
         out_degree: usize,
         in_degree: usize,
-        reply_ports: &'a [Option<usize>],
+        reply_ports: &'a [u32],
         rng: &'a mut Xoshiro256PlusPlus,
     ) -> Self {
         Self::new(

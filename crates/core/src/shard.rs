@@ -558,8 +558,8 @@ where
     let shards = bounds.len() - 1;
     let Network {
         topo,
-        reply_ports,
         mut nodes,
+        clocks,
         channels,
         processing,
         proc_rng,
@@ -676,8 +676,8 @@ where
         }
         let part = Network {
             topo: Arc::clone(&topo),
-            reply_ports: Arc::clone(&reply_ports),
             nodes: node_chunks.next().expect("one node chunk per shard"),
+            clocks,
             channels: chan_chunks.next().expect("one channel chunk per shard"),
             processing: Arc::clone(&processing),
             proc_rng: proc_rng.clone(),
@@ -813,8 +813,8 @@ fn merge<P: Protocol>(
     let first = worlds.swap_remove(0);
     let mut net = Network {
         topo: first.topo,
-        reply_ports: first.reply_ports,
         nodes,
+        clocks: first.clocks,
         channels,
         processing: first.processing,
         proc_rng: first.proc_rng,

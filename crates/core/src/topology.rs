@@ -8,6 +8,7 @@
 //! runtime enforces anonymity.
 
 use std::fmt;
+use std::ops::Range;
 
 use abe_sim::Xoshiro256PlusPlus;
 
@@ -85,12 +86,49 @@ pub struct Edge {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Adjacency is stored in compressed sparse row form: node `v`'s out-edges
+/// are `out[out_off[v]..out_off[v + 1]]` in port order, and likewise its
+/// in-edges in `inc`. Two per-edge tables computed once at construction
+/// make the delivery path O(1): each edge's in-port at its destination,
+/// and each in-slot's reply port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: u32,
     edges: Vec<Edge>,
-    out: Vec<Vec<EdgeId>>,
-    inc: Vec<Vec<EdgeId>>,
+    out_off: Vec<u32>,
+    out: Vec<EdgeId>,
+    in_off: Vec<u32>,
+    inc: Vec<EdgeId>,
+    /// Per edge id: the edge's in-port at its destination.
+    in_port: Vec<u32>,
+    /// Indexed like `inc`: the out-port at the in-edge's destination whose
+    /// edge points back to its source, or [`NO_REPLY`].
+    reply: Vec<u32>,
+}
+
+/// Reply-port entry of an in-port with no reverse edge (see
+/// [`Topology::reply_ports`]).
+pub const NO_REPLY: u32 = u32::MAX;
+
+/// Groups edge ids by `key(edge)` with a stable counting sort: returns the
+/// `n + 1` offsets and the edge ids, ascending within each group.
+fn csr(n: u32, edges: &[Edge], key: impl Fn(&Edge) -> usize) -> (Vec<u32>, Vec<EdgeId>) {
+    let mut off = vec![0u32; n as usize + 1];
+    for e in edges {
+        off[key(e) + 1] += 1;
+    }
+    for v in 0..n as usize {
+        off[v + 1] += off[v];
+    }
+    let mut next = off.clone();
+    let mut ids = vec![EdgeId(0); edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let slot = &mut next[key(e)];
+        ids[*slot as usize] = EdgeId(i as u32);
+        *slot += 1;
+    }
+    (off, ids)
 }
 
 impl Topology {
@@ -110,8 +148,6 @@ impl Topology {
             return Err(TopologyError::Empty);
         }
         let mut edges = Vec::new();
-        let mut out = vec![Vec::new(); n as usize];
-        let mut inc = vec![Vec::new(); n as usize];
         for (src, dst) in pairs {
             for &endpoint in &[src, dst] {
                 if endpoint >= n {
@@ -121,15 +157,44 @@ impl Topology {
                     });
                 }
             }
-            let id = EdgeId(edges.len() as u32);
             edges.push(Edge {
                 src: NodeId(src),
                 dst: NodeId(dst),
             });
-            out[src as usize].push(id);
-            inc[dst as usize].push(id);
         }
-        Ok(Self { n, edges, out, inc })
+        let (out_off, out) = csr(n, &edges, |e| e.src.index());
+        let (in_off, inc) = csr(n, &edges, |e| e.dst.index());
+        let mut in_port = vec![0u32; edges.len()];
+        for (slot, e) in inc.iter().enumerate() {
+            in_port[e.index()] = slot as u32 - in_off[edges[e.index()].dst.index()];
+        }
+        // Reply ports: `first_to[w]` holds the first out-port of the node at
+        // hand whose edge reaches `w`, set and then cleared per node, so
+        // the whole table costs O(n + edges).
+        let mut reply = vec![NO_REPLY; edges.len()];
+        let mut first_to = vec![NO_REPLY; n as usize];
+        for v in 0..n as usize {
+            let outs = &out[out_off[v] as usize..out_off[v + 1] as usize];
+            for (port, e) in outs.iter().enumerate().rev() {
+                first_to[edges[e.index()].dst.index()] = port as u32;
+            }
+            for slot in in_off[v] as usize..in_off[v + 1] as usize {
+                reply[slot] = first_to[edges[inc[slot].index()].src.index()];
+            }
+            for e in outs {
+                first_to[edges[e.index()].dst.index()] = NO_REPLY;
+            }
+        }
+        Ok(Self {
+            n,
+            edges,
+            out_off,
+            out,
+            in_off,
+            inc,
+            in_port,
+            reply,
+        })
     }
 
     /// Unidirectional ring `0 → 1 → … → n-1 → 0` (the paper's topology).
@@ -403,7 +468,7 @@ impl Topology {
     ///
     /// Panics if `node` is out of range.
     pub fn out_edges(&self, node: NodeId) -> &[EdgeId] {
-        &self.out[node.index()]
+        &self.out[self.out_range(node)]
     }
 
     /// In-edges of `node` in port order.
@@ -412,26 +477,37 @@ impl Topology {
     ///
     /// Panics if `node` is out of range.
     pub fn in_edges(&self, node: NodeId) -> &[EdgeId] {
-        &self.inc[node.index()]
+        &self.inc[self.in_range(node)]
     }
 
     /// Out-degree of `node`.
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out[node.index()].len()
+        self.out_range(node).len()
     }
 
     /// In-degree of `node`.
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.inc[node.index()].len()
+        self.in_range(node).len()
     }
 
     /// The in-port index of `edge` at its destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` does not belong to this topology.
     pub fn in_port(&self, edge: EdgeId) -> usize {
-        let dst = self.edge(edge).dst;
-        self.inc[dst.index()]
-            .iter()
-            .position(|&e| e == edge)
-            .expect("edge is registered at its destination")
+        self.in_port[edge.index()] as usize
+    }
+
+    /// `node`'s reply ports, indexed by in-port: the out-port whose edge
+    /// points back to that in-edge's source (the first such port, if
+    /// several do), or [`NO_REPLY`] when no reverse edge exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn reply_ports(&self, node: NodeId) -> &[u32] {
+        &self.reply[self.in_range(node)]
     }
 
     /// The out-port of `node` whose edge points back along the in-edge at
@@ -442,23 +518,47 @@ impl Topology {
     /// without learning any identity. Returns `None` on asymmetric edges
     /// (e.g. a unidirectional ring) or out-of-range ports.
     pub fn reverse_port(&self, node: NodeId, in_port: usize) -> Option<usize> {
-        let edge_in = *self.inc.get(node.index())?.get(in_port)?;
-        let src = self.edges[edge_in.index()].src;
-        self.out[node.index()]
-            .iter()
-            .position(|&e| self.edges[e.index()].dst == src)
+        if node.index() >= self.n as usize {
+            return None;
+        }
+        let port = *self.reply_ports(node).get(in_port)?;
+        (port != NO_REPLY).then_some(port as usize)
+    }
+
+    /// Positions of `node`'s out-edges in `out`.
+    fn out_range(&self, node: NodeId) -> Range<usize> {
+        let v = node.index();
+        self.out_off[v] as usize..self.out_off[v + 1] as usize
+    }
+
+    /// Positions of `node`'s in-edges in `inc` and `reply`.
+    fn in_range(&self, node: NodeId) -> Range<usize> {
+        let v = node.index();
+        self.in_off[v] as usize..self.in_off[v + 1] as usize
     }
 
     /// BFS hop distances from `from`; `None` for unreachable nodes.
     pub fn bfs_distances(&self, from: NodeId) -> Vec<Option<u32>> {
+        self.bfs(from, false)
+    }
+
+    /// BFS hop distances from `from` along out-edges, or against in-edges
+    /// when `reversed` (distances *to* `from`).
+    fn bfs(&self, from: NodeId, reversed: bool) -> Vec<Option<u32>> {
         let mut dist = vec![None; self.n as usize];
         let mut queue = std::collections::VecDeque::new();
         dist[from.index()] = Some(0);
         queue.push_back(from);
         while let Some(u) = queue.pop_front() {
             let du = dist[u.index()].expect("queued nodes have distances");
-            for &e in &self.out[u.index()] {
-                let v = self.edges[e.index()].dst;
+            let hops = if reversed {
+                self.in_edges(u)
+            } else {
+                self.out_edges(u)
+            };
+            for &e in hops {
+                let edge = self.edges[e.index()];
+                let v = if reversed { edge.src } else { edge.dst };
                 if dist[v.index()].is_none() {
                     dist[v.index()] = Some(du + 1);
                     queue.push_back(v);
@@ -470,21 +570,11 @@ impl Topology {
 
     /// Whether every node reaches every other node along directed edges.
     pub fn is_strongly_connected(&self) -> bool {
-        if self.n == 1 {
-            return true;
-        }
-        // Forward reachability from node 0, then reachability in the
-        // reversed graph; both covering all nodes ⇔ strong connectivity.
-        let forward_ok = self.bfs_distances(NodeId(0)).iter().all(|d| d.is_some());
-        if !forward_ok {
-            return false;
-        }
-        let reversed = Self::from_edges(self.n, self.edges.iter().map(|e| (e.dst.0, e.src.0)))
-            .expect("reversing preserves validity");
-        reversed
-            .bfs_distances(NodeId(0))
-            .iter()
-            .all(|d| d.is_some())
+        // Node 0 reaches every node and every node reaches node 0 ⇔
+        // strong connectivity.
+        [false, true]
+            .into_iter()
+            .all(|reversed| self.bfs(NodeId(0), reversed).iter().all(Option::is_some))
     }
 
     /// Longest shortest-path distance over all ordered pairs, or `None`

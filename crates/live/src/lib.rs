@@ -177,6 +177,7 @@ where
     U: Fn(&LiveStats) -> bool,
 {
     let n = topo.node_count() as usize;
+    let topo = Arc::new(topo);
     let shared: Arc<Shared<P::Message>> = Arc::new(Shared {
         heap: Mutex::new(BinaryHeap::new()),
         wake: Condvar::new(),
@@ -241,17 +242,7 @@ where
         let proto = factory(i);
         let rx = receiver.clone();
         let shared = Arc::clone(&shared);
-        let out_edges: Vec<(usize, usize)> = topo
-            .out_edges(node_id)
-            .iter()
-            .map(|&e| {
-                let edge = topo.edge(e);
-                (edge.dst.index(), topo.in_port(e))
-            })
-            .collect();
-        let reply_ports: Vec<Option<usize>> = (0..topo.in_degree(node_id))
-            .map(|p| topo.reverse_port(node_id, p))
-            .collect();
+        let topo = Arc::clone(&topo);
         let delay = Arc::clone(&delay);
         let mut rng = seeds.stream("live-node", i as u64);
         let mut delay_rng = seeds.stream("live-delay", i as u64);
@@ -279,7 +270,7 @@ where
                     network_size,
                     out_degree,
                     in_degree,
-                    &reply_ports,
+                    topo.reply_ports(node_id),
                     rng,
                 );
                 match event {
@@ -289,7 +280,8 @@ where
                 }
                 let effects = ctx.finish();
                 for (port, msg) in effects.sends {
-                    let (dst, in_port) = out_edges[port.0];
+                    let edge = topo.out_edges(node_id)[port.0];
+                    let (dst, in_port) = (topo.edge(edge).dst.index(), topo.in_port(edge));
                     let virtual_delay = delay.sample(delay_rng).as_secs();
                     let due = Instant::now() + time_scale.mul_f64(virtual_delay);
                     shared.sent.fetch_add(1, Ordering::SeqCst);

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fmt_num(local),
             format!("{:.3}", clock.rate()),
         ]);
-        clock.real_interval(1.0, &mut rng); // wander re-draws the rate
+        clock.real_interval(&spec, 1.0, &mut rng); // wander re-draws the rate
     }
     println!("{table}");
     println!("local time always advances within [0.5x, 2x] of real time — Definition 1.2 holds.");
