@@ -1,4 +1,4 @@
-//! Command-line harness regenerating every experiment in `EXPERIMENTS.md`.
+//! Command-line harness regenerating every experiment in `docs/PAPER_MAP.md`.
 //!
 //! ```text
 //! abe-experiments                 # run everything at quick scale
@@ -573,7 +573,7 @@ fn print_help() {
         "abe-experiments — regenerate the ABE-networks evaluation\n\n\
          USAGE:\n  abe-experiments [--full|--quick|--smoke] [--threads N] [--json PATH]\n\
                   [--list] [--out FILE] [--csv DIR] [IDS...]\n\n\
-         IDS: e1 .. e22 (default: all). See DESIGN.md section 5 for the\n\
+         IDS: e1 .. e22 (default: all). See docs/PAPER_MAP.md for the\n\
          experiment-to-paper-claim mapping.\n\n\
          --smoke     minimal grids (CI perf gate)\n\
          --threads N sweep-engine worker count (default: all cores);\n\

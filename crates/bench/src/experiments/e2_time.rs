@@ -4,31 +4,22 @@
 //! election time, normalised by the expected delay `δ`, must grow linearly
 //! in `n` (a message needs `n` sequential hops of expected `δ` each, and
 //! the expected number of retries is constant under calibration).
+//!
+//! The elections are E1's: e2 runs `scenarios/e1_messages.abes` at the
+//! same scale and reads each cell's time where E1 reads its messages.
 
-use abe_election::run_abe_calibrated;
 use abe_stats::{best_growth, fmt_num, Table};
-use abe_sweep::{CellMetrics, SweepSpec};
 
 use crate::{ExperimentReport, RunCtx};
 
-use super::{election_stats, ring};
-
-use super::{A, DELTA};
+use super::{activation, delta, e1_messages, election_stats, run_scenario};
 
 /// Runs E2.
 pub fn run(ctx: &RunCtx) -> ExperimentReport {
-    let sizes: &[u32] = ctx.scale.pick3(
-        &[8, 16, 64][..],
-        &[8, 16, 32, 64, 128, 256][..],
-        &[8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096][..],
-    );
-    let reps = ctx.scale.pick3(10, 40, 200);
-
-    let spec = SweepSpec::new().axis_u32("n", sizes).seeds(reps);
-    let outcome = ctx.sweep(spec, |cell| {
-        let o = run_abe_calibrated(&ring(ctx, cell.u32("n"), DELTA, cell.seed()), A);
-        CellMetrics::new().with_election(&o)
-    });
+    let compiled = e1_messages::scenario(ctx);
+    let outcome = run_scenario(ctx, &compiled);
+    let s = compiled.scenario();
+    let (a, delta) = (activation(s), delta(s));
 
     let mut table = Table::new(&["n", "time (mean)", "±95% CI", "time/(n·δ)", "ticks (mean)"]);
     let mut series = Vec::new();
@@ -41,7 +32,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             n.to_string(),
             fmt_num(time.mean()),
             fmt_num(time.ci95_half_width()),
-            fmt_num(time.mean() / (f64::from(n) * DELTA)),
+            fmt_num(time.mean() / (f64::from(n) * delta)),
             fmt_num(ticks.mean()),
         ]);
     }
@@ -56,14 +47,17 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
             "time/(n·δ) spans {:.2}..{:.2} — flat, confirming linear expected time complexity",
             series
                 .iter()
-                .map(|(n, t)| t / (n * DELTA))
+                .map(|(n, t)| t / (n * delta))
                 .fold(f64::INFINITY, f64::min),
             series
                 .iter()
-                .map(|(n, t)| t / (n * DELTA))
+                .map(|(n, t)| t / (n * delta))
                 .fold(f64::NEG_INFINITY, f64::max),
         ),
-        format!("parameters: A0 = {A}/n², δ = {DELTA}, exponential delays, {reps} seeds per point"),
+        format!(
+            "parameters: A0 = {a}/n², δ = {delta}, exponential delays, {} seeds per point",
+            s.seeds
+        ),
     ];
 
     ExperimentReport {

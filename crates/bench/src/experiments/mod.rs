@@ -1,11 +1,13 @@
-//! The experiment implementations (one module per `EXPERIMENTS.md` entry).
+//! The experiment implementations (one module per experiment in
+//! `docs/PAPER_MAP.md`).
 //!
 //! Every experiment runs a grid on the sweep engine (one simulation per
 //! cell, seeded from the cell's grid coordinates) and derives its table
 //! and findings from the per-group aggregates. Experiments with a
 //! committed `.abes` file under `scenarios/` (e1, e14, e17, e19, e21)
 //! *are* that file: they load it with `scenario`, run it with
-//! `run_scenario`, and only render. The others declare their grid as a
+//! `run_scenario`, and only render. e2 renders e1's file a second way.
+//! The others declare their grid as a
 //! [`SweepSpec`](abe_sweep::SweepSpec) and run it through
 //! [`RunCtx::sweep`](crate::RunCtx::sweep).
 

@@ -1,9 +1,9 @@
 //! # abe-bench — the evaluation harness
 //!
-//! Regenerates every experiment in `EXPERIMENTS.md`. The brief announcement
-//! contains no numbered tables or figures (it is a two-page model paper),
-//! so each experiment below is pinned to a **sentence** of the paper; the
-//! mapping lives in `DESIGN.md` §5.
+//! Regenerates every experiment in `docs/PAPER_MAP.md`. The brief
+//! announcement contains no numbered tables or figures (it is a two-page
+//! model paper), so each experiment below is pinned to a **sentence** of
+//! the paper; the mapping lives in `docs/PAPER_MAP.md`.
 //!
 //! Every experiment runs on the parallel deterministic [`abe_sweep`] engine: a
 //! declarative grid of configuration axes times a seed axis, executed by a

@@ -463,6 +463,21 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
     if let Some(fault) = &scenario.fault {
         check_finite_positive(fault.horizon, "fault.horizon")?;
         check_finite_non_negative(fault.downtime, "fault.downtime")?;
+        // Every churn window is primed as at least one kernel event, so
+        // more windows than `max-events` cannot all fire; refuse them
+        // before `FaultPlan::churn` allocates one per event.
+        let churn_axis = axis("churn").map(|a| &a.values);
+        let (field, events): (_, &[u32]) = match (&fault.events, churn_axis) {
+            (Bind::Fixed(events), _) => ("fault.events", std::slice::from_ref(events)),
+            (Bind::Axis, Some(AxisValues::U32(v))) => ("axis.churn", v),
+            (Bind::Axis, _) => ("axis.churn", &[]),
+        };
+        if let Some(&e) = events.iter().find(|&&e| u64::from(e) > scenario.max_events) {
+            return Err(ScenarioError::field(
+                field,
+                format!("{e} churn events exceed max-events {}", scenario.max_events),
+            ));
+        }
     }
 
     // Strategy/budget axes <-> adversary binds; strategy vocabulary.
@@ -1002,14 +1017,34 @@ mod tests {
         assert_eq!(compile(&s).unwrap_err().field_name(), Some("axis.topo"));
     }
 
+    /// `base_text` with `lines` added before its `record` directive.
+    fn with_lines(lines: &str) -> Result<CompiledScenario, ScenarioError> {
+        compile(&parse(&base_text().replace("record", &format!("{lines}\nrecord"))).unwrap())
+    }
+
     #[test]
     fn missing_bound_axes_are_rejected() {
-        let s = parse(&base_text().replace(
-            "record election\n",
-            "fault churn events=@churn horizon=8 downtime=2\nrecord election\n",
-        ))
-        .unwrap();
-        assert_eq!(compile(&s).unwrap_err().field_name(), Some("axis.churn"));
+        let err = with_lines("fault churn events=@churn horizon=8 downtime=2").unwrap_err();
+        assert_eq!(err.field_name(), Some("axis.churn"));
+    }
+
+    #[test]
+    fn fixed_churn_beyond_the_event_budget_is_rejected() {
+        let churn = "fault churn events=101 horizon=8 downtime=2";
+        assert!(with_lines(&format!("max-events 101\n{churn}")).is_ok());
+        let err = with_lines(&format!("max-events 100\n{churn}")).unwrap_err();
+        assert_eq!(err.field_name(), Some("fault.events"));
+        // The default budget refuses the plan that used to abort the process.
+        let err = with_lines("fault churn events=1000000000 horizon=8 downtime=2").unwrap_err();
+        assert_eq!(err.field_name(), Some("fault.events"));
+    }
+
+    #[test]
+    fn churn_axis_beyond_the_event_budget_is_rejected() {
+        let churn = "axis churn 0 101 2\nfault churn events=@churn horizon=8 downtime=2";
+        assert!(with_lines(&format!("max-events 101\n{churn}")).is_ok());
+        let err = with_lines(&format!("max-events 100\n{churn}")).unwrap_err();
+        assert_eq!(err.field_name(), Some("axis.churn"));
     }
 
     #[test]
@@ -1018,15 +1053,8 @@ mod tests {
         assert_eq!(compile(&s).unwrap_err().field_name(), Some("delay.mean"));
         let s = parse(&base_text().replace("a=1", "a=-1")).unwrap();
         assert_eq!(compile(&s).unwrap_err().field_name(), Some("protocol.a"));
-        let s = parse(&base_text().replace(
-            "record election\n",
-            "adversary strategy=frotz budget=1\nrecord election\n",
-        ))
-        .unwrap();
-        assert_eq!(
-            compile(&s).unwrap_err().field_name(),
-            Some("adversary.strategy")
-        );
+        let err = with_lines("adversary strategy=frotz budget=1").unwrap_err();
+        assert_eq!(err.field_name(), Some("adversary.strategy"));
     }
 
     #[test]

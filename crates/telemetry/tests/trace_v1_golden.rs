@@ -4,16 +4,12 @@
 //! record below: every [`TraceEvent`] variant, strings that need every
 //! kind of escape, the largest ordering key, tiny, huge, negative-zero
 //! and non-finite floats. The renderer must reproduce it byte for byte.
-//! A recorded Ben-Or run with payloads then checks that what the kernel
-//! really emits renders into a file the validator accepts in full.
+//! The facade package's `tests/trace_v1_golden.rs` checks the other
+//! half: that what the kernel really emits renders into a file the
+//! validator accepts in full.
 
-use abe_consensus::{default_faulty, run_benor, ConsensusConfig, InputAssignment};
-use abe_core::RunConfig;
 use abe_sim::SimTime;
-use abe_telemetry::{
-    render_header, render_record, validate_trace, JsonlSink, Recorder, Recording, TraceEvent,
-    TraceRecord,
-};
+use abe_telemetry::{render_header, render_record, JsonlSink, Recorder, TraceEvent, TraceRecord};
 
 const GOLDEN: &str = include_str!("golden/trace_v1.jsonl");
 
@@ -183,32 +179,4 @@ fn trace_v1_bytes_match_the_committed_golden() {
     for (r, line) in records.iter().zip(lines) {
         assert_eq!(render_record(r), line);
     }
-}
-
-#[test]
-fn a_recorded_benor_run_renders_a_valid_trace() {
-    let n = 8;
-    let run = RunConfig::new()
-        .seed(11)
-        .record(Recording::full().payloads(true));
-    let outcome = run_benor(
-        &ConsensusConfig::new(n, default_faulty(n), run),
-        InputAssignment::Split,
-    );
-    let recorder = outcome.telemetry.expect("recording was on");
-    assert!(recorder.len() > 1000, "{} records", recorder.len());
-    assert_eq!(recorder.dropped(), 0);
-
-    let mut sink = JsonlSink::new();
-    recorder.replay(&mut sink);
-    assert!(
-        sink.body().contains("\"payload\":\""),
-        "payload capture was on"
-    );
-    let mut file = render_header(sink.records(), recorder.dropped(), &[]);
-    file.push('\n');
-    file.push_str(sink.body());
-    let summary = validate_trace(&file).expect("a recorded trace validates");
-    assert_eq!(summary.records, recorder.len() as u64);
-    assert_eq!(summary.declared_records, summary.records);
 }

@@ -33,7 +33,6 @@
 //! | [`stats`] | `abe-stats` | online moments, complexity-class fitting, tables |
 //! | [`telemetry`] | `abe-telemetry` | typed trace events, deterministic histograms, `trace-v1` JSONL, trace analysis |
 //! | [`wave`] | `abe-wave` | flooding broadcast and echo/PIF convergecast waves |
-//! | [`live`] | `abe-live` | thread-per-node live runtime (crossbeam channels, wall-clock delays) |
 //! | [`scenario`] | `abe-scenario` | `.abes` scenario language: parser, compiler, golden-campaign runner, fuzz generator |
 //!
 //! ## Quickstart
@@ -57,7 +56,7 @@
 //!
 //! See `examples/` for richer scenarios (lossy channels, sensor grids,
 //! synchroniser comparisons) and `crates/bench` for the experiment harness
-//! behind `EXPERIMENTS.md`.
+//! behind `docs/PAPER_MAP.md`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -66,7 +65,6 @@ pub use abe_adversary as adversary;
 pub use abe_consensus as consensus;
 pub use abe_core as core;
 pub use abe_election as election;
-pub use abe_live as live;
 pub use abe_scenario as scenario;
 pub use abe_sim as sim;
 pub use abe_statesync as statesync;

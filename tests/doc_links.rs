@@ -1,6 +1,8 @@
 //! Every relative link in `README.md` and `docs/*.md` resolves to a file
 //! or directory in the repository. External (`scheme:`) and in-page
 //! (`#anchor`) links are out of scope; fenced code blocks are skipped.
+//! Every `NAME.md` that a source file under `src/` or `crates/*/src`
+//! names exists too: some file in the repository ends with that name.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -43,6 +45,81 @@ fn relative_links(text: &str) -> Vec<(usize, String)> {
         }
     }
     links
+}
+
+/// Every file under `dir`, recursively, skipping `target` and dot
+/// directories.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir).expect("directory lists") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if !path.is_dir() {
+            files.push(path);
+        } else if name != "target" && !name.starts_with('.') {
+            files.extend(files_under(&path));
+        }
+    }
+    files
+}
+
+/// The `NAME.md` names, bare or with a path, in one source text, with
+/// their 1-based line numbers.
+fn markdown_names(text: &str) -> Vec<(usize, String)> {
+    let mut names = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)));
+        for word in words.map(|w| w.trim_end_matches('.')) {
+            if word.len() > ".md".len() && word.ends_with(".md") {
+                names.push((i + 1, word.to_string()));
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn markdown_files_named_in_sources_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let repository = files_under(root);
+    let mut sources = files_under(&root.join("src"));
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        sources.extend(files_under(
+            &krate.expect("crates/ entry").path().join("src"),
+        ));
+    }
+    let (mut broken, mut checked) = (Vec::new(), 0);
+    for source in sources
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = fs::read_to_string(source).expect("source reads");
+        for (line, name) in markdown_names(&text) {
+            checked += 1;
+            if !repository.iter().any(|file| file.ends_with(&name)) {
+                broken.push(format!("{}:{line}: {name}", source.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "no markdown names found in sources");
+    assert!(
+        broken.is_empty(),
+        "sources name markdown files that do not exist:\n  {}",
+        broken.join("\n  ")
+    );
+}
+
+#[test]
+fn markdown_name_scanner_takes_paths_and_bare_names() {
+    let text = "see `docs/A_B.md`, EXPERIMENTS.md and\nnotes.mdx (DESIGN.md §5). .md";
+    assert_eq!(
+        markdown_names(text),
+        vec![
+            (1, "docs/A_B.md".to_string()),
+            (1, "EXPERIMENTS.md".to_string()),
+            (2, "DESIGN.md".to_string()),
+        ]
+    );
 }
 
 #[test]

@@ -21,10 +21,9 @@
 //! * fault schedules (crash-recover churn, message drops, delay storms)
 //!   → per-entity seed streams keep both paths on the same randomness.
 //!
-//! The crate under test is `abe-sim` (the kernel the shards are built
-//! from); `abe-core`/`abe-election`/`abe-consensus`/`abe-statesync` are
-//! dev-dependencies — a deliberate dev-only cycle so the differential
-//! suite can sit beside the kernel's other equivalence tests. The
+//! The suite sits in the facade package because it drives every layer
+//! above the kernel: `abe-core` networks running `abe-election`,
+//! `abe-consensus` and `abe-statesync` workloads. The
 //! consensus cases matter because Ben-Or flips *private coins* (per-node
 //! `SeedStream` children): the equivalence proves the coins are keyed by
 //! identity, not by execution order. The state-sync cases matter because
