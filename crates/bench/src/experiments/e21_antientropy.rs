@@ -20,7 +20,7 @@
 //! `converged`/`residual_divergence` indicators, which must be 1 and 0
 //! in every fault-free cell under every family.
 
-use abe_scenario::{CompiledScenario, ProtocolSpec};
+use abe_scenario::{CompiledScenario, Workload};
 use abe_stats::{fit_line, fmt_num, Table};
 use abe_sweep::AxisValue;
 
@@ -47,7 +47,7 @@ pub fn run(ctx: &RunCtx) -> ExperimentReport {
     let compiled = scenario(ctx);
     let outcome = run_scenario(ctx, &compiled);
     let s = compiled.scenario();
-    let ProtocolSpec::Antientropy { key_space } = s.protocol else {
+    let Workload::Antientropy { key_space } = s.workload else {
         panic!("e21 runs anti-entropy")
     };
     let ns = axis(&outcome, "n", AxisValue::as_u32);

@@ -37,7 +37,7 @@ pub mod e9_delay_robustness;
 use abe_core::RunConfig;
 use abe_election::RingConfig;
 use abe_scenario::campaign::check_oracles;
-use abe_scenario::{compile, parse, CompiledScenario, DelaySpec, ProtocolSpec, Scenario};
+use abe_scenario::{compile, parse, CompiledScenario, DelaySpec, ElectionProtocol, Scenario};
 use abe_stats::Online;
 use abe_sweep::{AxisValue, Group, SweepOutcome};
 
@@ -115,9 +115,9 @@ pub(crate) fn delta(scenario: &Scenario) -> f64 {
 
 /// The activation constant `a` of an `abe-calibrated` scenario.
 pub(crate) fn activation(scenario: &Scenario) -> f64 {
-    match scenario.protocol {
-        ProtocolSpec::AbeCalibrated { a } => a,
-        ref other => panic!("protocol {other:?} is not abe-calibrated"),
+    match scenario.workload.election() {
+        Some(ElectionProtocol::AbeCalibrated { a }) => *a,
+        _ => panic!("workload {:?} is not abe-calibrated", scenario.workload),
     }
 }
 

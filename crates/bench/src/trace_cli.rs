@@ -28,7 +28,7 @@ use abe_stats::json_str;
 use abe_sweep::{Cell, SweepSpec};
 use abe_telemetry::{render_header, validate_trace, JsonlSink, TraceAnalysis};
 
-use crate::experiments::{e17_adversary, e1_messages};
+use crate::experiments::{e14_crash_churn, e17_adversary, e1_messages};
 use crate::RunCtx;
 
 /// One re-run of a single grid cell, with optional telemetry capture.
@@ -79,7 +79,9 @@ pub fn run_cell(compiled: &CompiledScenario, cell: &Cell, record: Option<Recordi
     let cfg = compiled.election_config(cell, record);
     let budget = cfg.run.adversary.budget();
     let bound = budget.unwrap_or_else(|| cfg.run.delay.mean().as_secs());
-    let o = compiled.run_election(&cfg);
+    let o = compiled
+        .run_election(&cfg)
+        .expect("traceable experiments run elections");
     TracedRun {
         audited_max_edge_mean: budget.map(|_| o.report.adversary.max_edge_mean),
         report: o.report,
@@ -96,6 +98,11 @@ pub fn trace_registry() -> Vec<TraceableExperiment> {
             id: "e1",
             about: "election message complexity — oblivious exponential delays",
             scenario: e1_messages::scenario,
+        },
+        TraceableExperiment {
+            id: "e14",
+            about: "election under crash-recover churn — fault events in the trace",
+            scenario: e14_crash_churn::scenario,
         },
         TraceableExperiment {
             id: "e17",
@@ -334,8 +341,12 @@ mod tests {
         trace_registry()[0]
     }
 
-    fn e17() -> TraceableExperiment {
+    fn e14() -> TraceableExperiment {
         trace_registry()[1]
+    }
+
+    fn e17() -> TraceableExperiment {
+        trace_registry()[2]
     }
 
     #[test]
@@ -378,6 +389,19 @@ mod tests {
         let spec = (e1().scenario)(&ctx).spec();
         let cell = select_cell(&spec, &[("n".into(), "8".into())], 0).unwrap();
         let summary = check_cell(&e1(), &ctx, &cell).unwrap();
+        assert!(summary.starts_with("ok:"), "{summary}");
+    }
+
+    #[test]
+    fn traced_e14_churn_cell_passes_every_check() {
+        let ctx = RunCtx::smoke();
+        let compiled = (e14().scenario)(&ctx);
+        let at = [("topo", "uni-ring"), ("churn", "2")].map(|(k, v)| (k.into(), v.into()));
+        // Rep 1 completes although two nodes crashed during the run.
+        let cell = select_cell(&compiled.spec(), &at, 1).unwrap();
+        assert_eq!(compiled.run_cell(&cell).get("completed"), Some(1.0));
+        assert_eq!(run_cell(&compiled, &cell, None).report.faults.crashes, 2);
+        let summary = check_cell(&e14(), &ctx, &cell).unwrap();
         assert!(summary.starts_with("ok:"), "{summary}");
     }
 

@@ -57,7 +57,9 @@ fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
             .telemetry(Recording::ring(0).histograms(true))
     };
     let run_cell = |cell: &Cell| {
-        let o = compiled.run_election(&compiled.election_config(cell, cell.recording().cloned()));
+        let o = compiled
+            .run_election(&compiled.election_config(cell, cell.recording().cloned()))
+            .expect("e1 runs an election");
         let mut metrics = CellMetrics::new().with_election(&o);
         if let Some(h) = o.telemetry.as_deref().and_then(|r| r.histograms()) {
             metrics = metrics.with_hist(h.to_json());

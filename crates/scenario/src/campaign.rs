@@ -3,20 +3,21 @@
 //! check the per-cell outcome oracles.
 //!
 //! The campaign document (schema `abe-scenario/campaign-v1`) is a pure
-//! function of the scenario: it contains the scenario name, record
-//! mode, expectation, and the sweep engine's deterministic
-//! `metrics_json` block — and nothing about how the run was executed
-//! (no thread count, no wall clock). Two runs of the same corpus are
-//! byte-identical at any worker count, so goldens under
+//! function of the scenario: it contains the scenario name, the record
+//! mode its workload names, the expectation, and the sweep engine's
+//! deterministic `metrics_json` block — and nothing about how the run
+//! was executed (no thread count, no wall clock). Two runs of the same
+//! corpus are byte-identical at any worker count, so goldens under
 //! `scenarios/goldens/` are exact regression oracles: any drift is a
 //! behaviour change, reported with the grid coordinates of the first
 //! diverging cell.
 //!
 //! Three per-cell **outcome oracles** run before the byte diff:
 //!
-//! 1. every cell resolves to exactly one outcome class (election-style
-//!    records derive it from the `leaders` metric, classified records
-//!    from their indicator metrics) — nothing is silently dropped;
+//! 1. every cell carries the outcome class its run's own outcome
+//!    reported (`CellMetrics::get_class`), and a sync cell's
+//!    `converged` indicator agrees with its `residual_divergence`
+//!    witness — nothing is silently dropped;
 //! 2. the class satisfies the scenario's declared [`Expectation`] —
 //!    and the safety-violation classes (`wrong-leader`,
 //!    `agreement-violation`, `validity-violation`) are violations
@@ -29,12 +30,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use abe_core::OutcomeClass;
 use abe_stats::json_str;
 use abe_sweep::SweepOutcome;
 
 use crate::compile::compile;
-use crate::model::{Expectation, RecordMode, Scenario};
+use crate::model::{Expectation, Scenario, Workload};
 use crate::parse::parse;
 
 /// Where the campaign finds its corpus and goldens, and how it runs.
@@ -176,7 +176,7 @@ pub fn document(scenario: &Scenario, outcome: &SweepOutcome) -> String {
     format!(
         "{{\"schema\":\"abe-scenario/campaign-v1\",\"scenario\":{},\"record\":{},\"expect\":{},\"sweep\":{}}}\n",
         json_str(&scenario.name),
-        json_str(scenario.record.as_str()),
+        json_str(scenario.workload.record()),
         json_str(scenario.expect.as_str()),
         outcome.metrics_json(),
     )
@@ -201,112 +201,40 @@ impl OracleReport {
     }
 }
 
-/// Classifies one cell's outcome from its recorded metrics.
-fn classify(record: RecordMode, metrics: &abe_sweep::CellMetrics) -> Result<OutcomeClass, String> {
-    match record {
-        RecordMode::Election | RecordMode::Adversary => {
-            let leaders = metrics
-                .get("leaders")
-                .ok_or_else(|| "missing `leaders` metric".to_string())?;
-            Ok(if leaders == 1.0 {
-                OutcomeClass::Completed
-            } else if leaders == 0.0 {
-                OutcomeClass::Stalled
-            } else {
-                OutcomeClass::WrongLeader
-            })
-        }
-        RecordMode::Classified => {
-            let get = |name: &str| {
-                metrics
-                    .get(name)
-                    .ok_or_else(|| format!("missing `{name}` metric"))
-            };
-            let (c, s, w) = (get("completed")?, get("stalled")?, get("wrong_leader")?);
-            match (c == 1.0, s == 1.0, w == 1.0) {
-                (true, false, false) => Ok(OutcomeClass::Completed),
-                (false, true, false) => Ok(OutcomeClass::Stalled),
-                (false, false, true) => Ok(OutcomeClass::WrongLeader),
-                _ => Err(format!(
-                    "indicator metrics do not name exactly one class \
-                     (completed={c}, stalled={s}, wrong_leader={w})"
-                )),
-            }
-        }
-        RecordMode::Consensus => {
-            let get = |name: &str| {
-                metrics
-                    .get(name)
-                    .ok_or_else(|| format!("missing `{name}` metric"))
-            };
-            let (d, s, a, v) = (
-                get("decided")?,
-                get("stalled")?,
-                get("agreement_violation")?,
-                get("validity_violation")?,
-            );
-            match (d == 1.0, s == 1.0, a == 1.0, v == 1.0) {
-                (true, false, false, false) => Ok(OutcomeClass::Decided),
-                (false, true, false, false) => Ok(OutcomeClass::Stalled),
-                (false, false, true, false) => Ok(OutcomeClass::AgreementViolation),
-                (false, false, false, true) => Ok(OutcomeClass::ValidityViolation),
-                _ => Err(format!(
-                    "indicator metrics do not name exactly one class \
-                     (decided={d}, stalled={s}, agreement_violation={a}, \
-                     validity_violation={v})"
-                )),
-            }
-        }
-        RecordMode::Sync => {
-            let converged = metrics
-                .get("converged")
-                .ok_or_else(|| "missing `converged` metric".to_string())?;
-            let residual = metrics
-                .get("residual_divergence")
-                .ok_or_else(|| "missing `residual_divergence` metric".to_string())?;
-            // The indicator and its witness must agree: a converged run
-            // has zero residual divergence, a stalled run has some.
-            match (converged, residual == 0.0) {
-                (1.0, true) => Ok(OutcomeClass::Decided),
-                (0.0, false) => Ok(OutcomeClass::Stalled),
-                _ => Err(format!(
-                    "convergence indicators disagree \
-                     (converged={converged}, residual_divergence={residual})"
-                )),
-            }
-        }
-    }
-}
-
 /// Runs the outcome oracles over every cell of a scenario's sweep.
 pub fn check_oracles(scenario: &Scenario, outcome: &SweepOutcome) -> OracleReport {
     let mut violations = Vec::new();
     for cell in &outcome.cells {
         let label = cell.cell.label();
-        let class = match classify(scenario.record, &cell.metrics) {
-            Ok(class) => class,
-            Err(why) => {
-                violations.push(format!("{label}: {why}"));
+        let Some(class) = cell.metrics.get_class() else {
+            violations.push(format!("{label}: no outcome class recorded"));
+            continue;
+        };
+        if let Workload::Antientropy { .. } = scenario.workload {
+            // The indicator and its witness must agree: a converged run
+            // has zero residual divergence, a stalled run has some.
+            let converged = cell.metrics.get("converged").unwrap_or(f64::NAN);
+            let residual = cell.metrics.get("residual_divergence").unwrap_or(f64::NAN);
+            if !((converged == 1.0 && residual == 0.0) || (converged == 0.0 && residual > 0.0)) {
+                violations.push(format!(
+                    "{label}: convergence indicators disagree \
+                     (converged={converged}, residual_divergence={residual})"
+                ));
                 continue;
             }
-        };
+        }
         match scenario.expect {
-            Expectation::Class(expected) => {
-                if class.is_violation() {
-                    violations.push(format!("{label}: `{}` (safety violation)", class.as_str()));
-                } else if class != expected {
-                    violations.push(format!(
-                        "{label}: outcome `{}`, scenario expects `{}`",
-                        class.as_str(),
-                        expected.as_str()
-                    ));
-                }
+            _ if class.is_violation() => {
+                violations.push(format!("{label}: `{}` (safety violation)", class.as_str()));
             }
-            Expectation::Mixed => {
-                if class.is_violation() {
-                    violations.push(format!("{label}: `{}` (safety violation)", class.as_str()));
-                }
+            Expectation::Class(expected) if class != expected => {
+                violations.push(format!(
+                    "{label}: outcome `{}`, scenario expects `{}`",
+                    class.as_str(),
+                    expected.as_str()
+                ));
             }
+            _ => {}
         }
         if let Some(v) = cell.metrics.get_counter("adv_violations") {
             if v != 0 {
@@ -426,7 +354,7 @@ fn describe_drift(golden: &str, fresh: &str, outcome: &SweepOutcome) -> String {
 }
 
 /// The golden file for one scenario name.
-pub fn golden_path(goldens_dir: &Path, name: &str) -> PathBuf {
+fn golden_path(goldens_dir: &Path, name: &str) -> PathBuf {
     goldens_dir.join(format!("{name}.json"))
 }
 
@@ -561,6 +489,31 @@ mod tests {
         let report = check_oracles(&s, &outcome);
         assert_eq!(report.violations.len(), 4);
         assert!(report.violations[0].contains("scenario expects `stalled`"));
+    }
+
+    #[test]
+    fn oracles_flag_unclassified_cells_and_disagreeing_sync_witnesses() {
+        let s = parse(
+            "scenario s\nprotocol antientropy key-space=16\ndelay exp mean=1\n\
+             topology complete\nn 4\ndivergence 0.25\nseeds 3\nrecord sync\nexpect decided\n",
+        )
+        .unwrap();
+        let mut outcome = compile(&s).unwrap().run(1).unwrap();
+        assert!(check_oracles(&s, &outcome).ok());
+        // A converged cell claiming residual divergence, and a cell that
+        // recorded no class at all.
+        let tampered = outcome.cells[0].metrics.clone();
+        outcome.cells[0].metrics = tampered.metric("residual_divergence", 3.0);
+        outcome.cells[2].metrics = abe_sweep::CellMetrics::new();
+        let report = check_oracles(&s, &outcome);
+        assert_eq!(report.cells_checked, 3);
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+        assert!(
+            report.violations[0].contains("convergence indicators disagree"),
+            "{:?}",
+            report.violations
+        );
+        assert!(report.violations[1].contains("no outcome class recorded"));
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Lowering a [`Scenario`] onto the `abe-sweep` engine.
 //!
 //! [`compile`] performs every semantic check — axis/bind consistency,
-//! parameter ranges, protocol/topology compatibility — and returns a
-//! [`CompiledScenario`] whose [`run`](CompiledScenario::run) drives
-//! [`abe_sweep::run_sweep`] unchanged, with per-cell seeds from grid
-//! coordinates. Each [`RecordMode`] is the metric set of one experiment
-//! family (e1 ← `Election`, e14 ← `Classified`, e17 ← `Adversary`, e19
-//! ← `Consensus`, e21 ← `Sync`). A stalled run is recorded, never
-//! asserted away (`CellMetrics::with_election` would panic on it): the
-//! verdict belongs to the outcome oracles, so a regressing scenario
-//! produces a readable report naming its cells instead of a worker
-//! panic.
+//! parameter ranges, workload/topology compatibility, an `expect` class
+//! the workload can end in — and returns a [`CompiledScenario`] whose
+//! [`run`](CompiledScenario::run) drives [`abe_sweep::run_sweep`]
+//! unchanged, with per-cell seeds from grid coordinates.
+//! [`run_cell`](CompiledScenario::run_cell) is one `match` on the
+//! [`Workload`], each arm recording one experiment family's metric set
+//! plus the run's own outcome class (the slot the campaign oracles
+//! read). A stalled run is recorded, never asserted away
+//! (`CellMetrics::with_election` would panic on it): the verdict belongs
+//! to the outcome oracles, so a regressing scenario produces a readable
+//! report naming its cells instead of a worker panic.
 
 use std::sync::Arc;
 
@@ -18,7 +19,7 @@ use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_consensus::{default_faulty, run_benor, run_brb, ConsensusConfig, InputAssignment};
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform, Weibull};
 use abe_core::fault::FaultPlan;
-use abe_core::{AdversaryPlan, OutcomeClass, Recording, RunConfig};
+use abe_core::{AdversaryPlan, NetworkReport, OutcomeClass, Recording, RunConfig};
 use abe_election::{
     run_abe, run_abe_calibrated, run_chang_roberts, run_itai_rodeh, run_peterson, ElectionOutcome,
     RingConfig, RingKind,
@@ -28,12 +29,12 @@ use abe_statesync::{run_antientropy, SyncConfig};
 use abe_sweep::{run_sweep, Cell, CellMetrics, SweepError, SweepOutcome, SweepSpec};
 
 use crate::model::{
-    AxisSpec, AxisValues, Bind, DelaySpec, ProtocolSpec, RecordMode, Scenario, ScenarioError,
-    TopologySpec,
+    is_scenario_name, AxisSpec, AxisValues, Bind, DelaySpec, ElectionProtocol, Expectation,
+    Scenario, ScenarioError, TopologySpec, Workload,
 };
 
 /// The adversary strategy vocabulary, baseline first (e17 sweeps it).
-pub const STRATEGIES: [&str; 5] = ["none", "swap", "burst", "reorder", "adaptive"];
+const STRATEGIES: [&str; 5] = ["none", "swap", "burst", "reorder", "adaptive"];
 
 /// The delay-family vocabulary of the `delay` axis (e21 sweeps it): every
 /// family is calibrated to the mean of the `delay @delay mean=M`
@@ -41,21 +42,23 @@ pub const STRATEGIES: [&str; 5] = ["none", "swap", "burst", "reorder", "adaptive
 pub const DELAY_FAMILIES: [&str; 3] = ["exp", "uniform", "det"];
 
 /// The payload node 0 floods in `protocol brb` scenarios (mirrors e20).
-pub const BRB_PAYLOAD: u32 = 0xB10C;
+const BRB_PAYLOAD: u32 = 0xB10C;
+
+/// The closed axis vocabulary.
+const AXES: [&str; 7] = [
+    "n",
+    "topo",
+    "churn",
+    "budget",
+    "strategy",
+    "divergence",
+    "delay",
+];
 
 /// Axis names are a closed vocabulary so the engine's `&'static str`
 /// axis labels can be recovered from parsed strings.
 fn static_axis_name(name: &str) -> Option<&'static str> {
-    match name {
-        "n" => Some("n"),
-        "topo" => Some("topo"),
-        "churn" => Some("churn"),
-        "budget" => Some("budget"),
-        "strategy" => Some("strategy"),
-        "divergence" => Some("divergence"),
-        "delay" => Some("delay"),
-        _ => None,
-    }
+    AXES.into_iter().find(|&a| a == name)
 }
 
 /// Expected value type of each axis in the closed vocabulary.
@@ -87,16 +90,6 @@ fn check_finite_non_negative(value: f64, field: &str) -> Result<(), ScenarioErro
             field,
             format!("must be finite and non-negative, got {value}"),
         ))
-    }
-}
-
-/// Renders one axis value the way the text form writes it, for filter
-/// matching.
-fn value_texts(values: &AxisValues) -> Vec<String> {
-    match values {
-        AxisValues::U32(v) => v.iter().map(|x| x.to_string()).collect(),
-        AxisValues::F64(v) => v.iter().map(|x| x.to_string()).collect(),
-        AxisValues::Str(v) => v.clone(),
     }
 }
 
@@ -146,12 +139,7 @@ impl std::fmt::Debug for CompiledScenario {
 /// from the fuzzer assert on exactly this ("compiles, or explains
 /// itself; never panics").
 pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
-    if scenario.name.is_empty()
-        || !scenario
-            .name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-    {
+    if !is_scenario_name(&scenario.name) {
         return Err(ScenarioError::field(
             "scenario",
             "name must be non-empty alphanumeric/-/_/.",
@@ -160,27 +148,41 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
 
     // Axes: known names, matching value types, non-empty, no duplicates.
     for (i, axis) in scenario.axes.iter().enumerate() {
-        let field = format!("axis.{}", axis.name);
-        if static_axis_name(&axis.name).is_none() {
-            return Err(ScenarioError::field(
-                &field,
-                "unknown axis (known: n, topo, churn, budget, strategy, divergence, delay)",
-            ));
-        }
-        if !axis_type_ok(&axis.name, &axis.values) {
-            return Err(ScenarioError::field(
-                &field,
-                "axis values have the wrong type",
-            ));
-        }
-        if axis.values.is_empty() {
-            return Err(ScenarioError::field(&field, "must have at least one value"));
-        }
-        if scenario.axes[..i].iter().any(|a| a.name == axis.name) {
-            return Err(ScenarioError::field(&field, "duplicate axis"));
-        }
+        let why = if static_axis_name(&axis.name).is_none() {
+            "unknown axis (known: n, topo, churn, budget, strategy, divergence, delay)"
+        } else if !axis_type_ok(&axis.name, &axis.values) {
+            "axis values have the wrong type"
+        } else if axis.values.is_empty() {
+            "must have at least one value"
+        } else if scenario.axes[..i].iter().any(|a| a.name == axis.name) {
+            "duplicate axis"
+        } else {
+            continue;
+        };
+        return Err(ScenarioError::field(&format!("axis.{}", axis.name), why));
     }
     let axis = |name: &str| scenario.axes.iter().find(|a| a.name == name);
+    // A numeric axis's values; none when the axis is absent.
+    let u32s = |name: &str| match axis(name).map(|a| &a.values) {
+        Some(AxisValues::U32(v)) => v.as_slice(),
+        _ => &[],
+    };
+    let f64s = |name: &str| match axis(name).map(|a| &a.values) {
+        Some(AxisValues::F64(v)) => v.as_slice(),
+        _ => &[],
+    };
+    // A driven axis and its `@axis` bind come in pairs: an axis nothing
+    // binds, or a bind with no axis, names the axis.
+    let check_bound = |name: &str, bound: bool, bind: &str| match (axis(name), bound) {
+        (Some(_), false) => Err(ScenarioError::field(
+            &format!("axis.{name}"),
+            format!("has no consumer; bind it with `{bind}`"),
+        )),
+        (None, true) => Err(ScenarioError::Missing {
+            field: format!("axis.{name}"),
+        }),
+        _ => Ok(()),
+    };
 
     // Ring size: exactly one of the fixed directive and the `n` axis.
     match (scenario.n, axis("n")) {
@@ -198,92 +200,66 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
         (Some(0), None) => {
             return Err(ScenarioError::field("n", "ring size must be at least 1"));
         }
-        (None, Some(a)) => {
-            if let AxisValues::U32(v) = &a.values {
-                if v.contains(&0) {
-                    return Err(ScenarioError::field(
-                        "axis.n",
-                        "ring sizes must be at least 1",
-                    ));
-                }
-            }
+        (None, Some(_)) if u32s("n").contains(&0) => {
+            return Err(ScenarioError::field(
+                "axis.n",
+                "ring sizes must be at least 1",
+            ));
         }
         _ => {}
     }
 
-    // Protocol parameters, and protocol/topology compatibility.
-    match scenario.protocol {
-        ProtocolSpec::AbeCalibrated { a } => check_finite_positive(a, "protocol.a")?,
-        ProtocolSpec::Abe { a0 } => {
-            if !(a0.is_finite() && a0 > 0.0 && a0 < 1.0) {
-                return Err(ScenarioError::field(
-                    "protocol.a0",
-                    format!("must lie in the open interval (0, 1), got {a0}"),
-                ));
-            }
+    // Workload parameters, and workload/topology compatibility: the
+    // complete graph is the consensus and sync workloads' own.
+    match scenario.workload.election() {
+        Some(&ElectionProtocol::AbeCalibrated { a }) => check_finite_positive(a, "protocol.a")?,
+        Some(&ElectionProtocol::Abe { a0 }) if !(a0.is_finite() && a0 > 0.0 && a0 < 1.0) => {
+            return Err(ScenarioError::field(
+                "protocol.a0",
+                format!("must lie in the open interval (0, 1), got {a0}"),
+            ));
         }
-        ProtocolSpec::ItaiRodeh | ProtocolSpec::ChangRoberts | ProtocolSpec::Peterson => {
-            if scenario.topology != TopologySpec::UniRing {
-                return Err(ScenarioError::field(
-                    "topology",
-                    "baseline protocols run on unidirectional rings only",
-                ));
-            }
+        Some(&ElectionProtocol::Abe { .. }) => {}
+        Some(_) if scenario.topology != TopologySpec::UniRing => {
+            return Err(ScenarioError::field(
+                "topology",
+                "baseline protocols run on unidirectional rings only",
+            ));
         }
-        ProtocolSpec::Benor | ProtocolSpec::Brb => {
-            if scenario.topology != TopologySpec::Complete {
-                return Err(ScenarioError::field(
-                    "topology",
-                    "consensus protocols run on the complete graph; write `topology complete`",
-                ));
-            }
-        }
-        ProtocolSpec::Antientropy { key_space } => {
-            if key_space == 0 {
-                return Err(ScenarioError::field(
-                    "protocol.key-space",
-                    "the key universe must have at least one key",
-                ));
-            }
-            if scenario.topology != TopologySpec::Complete {
-                return Err(ScenarioError::field(
-                    "topology",
-                    "anti-entropy runs on the complete graph; write `topology complete`",
-                ));
-            }
-        }
+        _ => {}
     }
-
-    // The consensus family is all-or-nothing: a consensus protocol, the
-    // complete graph, and the consensus record mode come together. The
-    // same holds for anti-entropy sync with `record sync`.
-    let consensus = scenario.protocol.is_consensus();
-    let sync = scenario.protocol.is_sync();
-    if scenario.topology == TopologySpec::Complete && !consensus && !sync {
+    if let Workload::Antientropy { key_space: 0 } = scenario.workload {
+        return Err(ScenarioError::field(
+            "protocol.key-space",
+            "the key universe must have at least one key",
+        ));
+    }
+    let consensus = matches!(scenario.workload, Workload::Benor | Workload::Brb);
+    let sync = matches!(scenario.workload, Workload::Antientropy { .. });
+    if (scenario.topology == TopologySpec::Complete) != (consensus || sync) {
         return Err(ScenarioError::field(
             "topology",
-            "the complete graph is reserved for consensus and sync protocols \
-             (benor, brb, antientropy)",
-        ));
-    }
-    if (scenario.record == RecordMode::Consensus) != consensus {
-        return Err(ScenarioError::field(
-            "record",
             if consensus {
-                "consensus protocols require `record consensus`"
+                "consensus protocols run on the complete graph; write `topology complete`"
+            } else if sync {
+                "anti-entropy runs on the complete graph; write `topology complete`"
             } else {
-                "the consensus record mode requires a consensus protocol (benor, brb)"
+                "the complete graph is reserved for consensus and sync protocols \
+                 (benor, brb, antientropy)"
             },
         ));
     }
-    if (scenario.record == RecordMode::Sync) != sync {
+    let classes = scenario.workload.classes();
+    if matches!(scenario.expect, Expectation::Class(c) if !classes.contains(&c)) {
+        let names: Vec<&str> = classes.iter().map(|c| c.as_str()).collect();
         return Err(ScenarioError::field(
-            "record",
-            if sync {
-                "`protocol antientropy` requires `record sync`"
-            } else {
-                "the sync record mode requires `protocol antientropy`"
-            },
+            "expect",
+            format!(
+                "`{}` is not an outcome of `record {}` cells (expect one of: {}, mixed)",
+                scenario.expect.as_str(),
+                scenario.workload.record(),
+                names.join(", ")
+            ),
         ));
     }
 
@@ -315,29 +291,10 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
         Some(Bind::Fixed(d)) => check_divergence(*d, "divergence")?,
         _ => {}
     }
-    let divergence_binds_axis = scenario.divergence == Some(Bind::Axis);
-    match (axis("divergence").is_some(), divergence_binds_axis) {
-        (true, false) => {
-            return Err(ScenarioError::field(
-                "axis.divergence",
-                "has no consumer; bind it with `divergence @divergence`",
-            ));
-        }
-        (false, true) => {
-            return Err(ScenarioError::Missing {
-                field: "axis.divergence".to_string(),
-            });
-        }
-        _ => {}
-    }
-    if let Some(AxisSpec {
-        values: AxisValues::F64(fractions),
-        ..
-    }) = axis("divergence")
-    {
-        for &d in fractions {
-            check_divergence(d, "axis.divergence")?;
-        }
+    let divergence_bound = scenario.divergence == Some(Bind::Axis);
+    check_bound("divergence", divergence_bound, "divergence @divergence")?;
+    for &d in f64s("divergence") {
+        check_divergence(d, "axis.divergence")?;
     }
 
     // Fault budget: consensus-only, and every network size on the grid
@@ -360,17 +317,8 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
                 ))
             }
         };
-        if let Some(n) = scenario.n {
+        for &n in scenario.n.as_slice().iter().chain(u32s("n")) {
             check_n(n)?;
-        }
-        if let Some(AxisSpec {
-            values: AxisValues::U32(ns),
-            ..
-        }) = axis("n")
-        {
-            for &n in ns {
-                check_n(n)?;
-            }
         }
     }
 
@@ -379,17 +327,17 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
     // axis pairs with `delay @delay mean=M` exactly like `topo` pairs
     // with `topology @topo`, and lowers to one calibrated model per
     // family value.
+    let delay_bound = matches!(scenario.delay, DelaySpec::Axis { .. });
+    check_bound("delay", delay_bound, "delay @delay mean=M")?;
     let delay = match (&scenario.delay, axis("delay")) {
-        (DelaySpec::Axis { .. }, None) => {
-            return Err(ScenarioError::Missing {
-                field: "axis.delay".to_string(),
-            });
-        }
-        (DelaySpec::Axis { mean }, Some(a)) => {
+        (
+            DelaySpec::Axis { mean },
+            Some(AxisSpec {
+                values: AxisValues::Str(values),
+                ..
+            }),
+        ) => {
             check_finite_positive(*mean, "delay.mean")?;
-            let AxisValues::Str(values) = &a.values else {
-                unreachable!("axis types validated above")
-            };
             DelayLowered::PerFamily(
                 values
                     .iter()
@@ -397,80 +345,45 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
                     .collect::<Result<_, _>>()?,
             )
         }
-        (_, Some(_)) => {
-            return Err(ScenarioError::field(
-                "axis.delay",
-                "declared, but the delay is fixed; write `delay @delay mean=M`",
-            ));
-        }
-        (spec, None) => DelayLowered::Fixed(build_delay(spec)?),
+        (spec, _) => DelayLowered::Fixed(build_delay(spec)?),
     };
 
     // Topology axis <-> `topology @topo`.
-    let topo_kinds: Vec<RingKind> = match (scenario.topology, axis("topo")) {
-        (TopologySpec::Axis, None) => {
-            return Err(ScenarioError::Missing {
-                field: "axis.topo".to_string(),
-            });
-        }
-        (TopologySpec::Axis, Some(a)) => {
-            let AxisValues::Str(values) = &a.values else {
-                unreachable!("axis types validated above")
-            };
-            values
-                .iter()
-                .map(|v| match v.as_str() {
-                    "uni-ring" => Ok(RingKind::Unidirectional),
-                    "bidi-ring" => Ok(RingKind::Bidirectional),
-                    other => Err(ScenarioError::field(
-                        "axis.topo",
-                        format!("unknown topology `{other}`"),
-                    )),
-                })
-                .collect::<Result<_, _>>()?
-        }
-        (_, Some(_)) => {
-            return Err(ScenarioError::field(
-                "axis.topo",
-                "declared, but the topology is fixed; write `topology @topo`",
-            ));
-        }
-        (_, None) => Vec::new(),
+    let topo_bound = scenario.topology == TopologySpec::Axis;
+    check_bound("topo", topo_bound, "topology @topo")?;
+    let topo_kinds: Vec<RingKind> = match axis("topo") {
+        Some(AxisSpec {
+            values: AxisValues::Str(values),
+            ..
+        }) => values
+            .iter()
+            .map(|v| match v.as_str() {
+                "uni-ring" => Ok(RingKind::Unidirectional),
+                "bidi-ring" => Ok(RingKind::Bidirectional),
+                other => Err(ScenarioError::field(
+                    "axis.topo",
+                    format!("unknown topology `{other}`"),
+                )),
+            })
+            .collect::<Result<_, _>>()?,
+        _ => Vec::new(),
     };
 
     // Churn axis <-> `fault churn events=@churn`.
-    let fault_binds_axis = matches!(
-        scenario.fault,
-        Some(crate::model::FaultSpec {
-            events: Bind::Axis,
-            ..
-        })
-    );
-    match (axis("churn").is_some(), fault_binds_axis) {
-        (true, false) => {
-            return Err(ScenarioError::field(
-                "axis.churn",
-                "has no consumer; bind it with `fault churn events=@churn`",
-            ));
-        }
-        (false, true) => {
-            return Err(ScenarioError::Missing {
-                field: "axis.churn".to_string(),
-            });
-        }
-        _ => {}
-    }
+    let churn_bound = scenario
+        .fault
+        .as_ref()
+        .is_some_and(|f| f.events == Bind::Axis);
+    check_bound("churn", churn_bound, "fault churn events=@churn")?;
     if let Some(fault) = &scenario.fault {
         check_finite_positive(fault.horizon, "fault.horizon")?;
         check_finite_non_negative(fault.downtime, "fault.downtime")?;
         // Every churn window is primed as at least one kernel event, so
         // more windows than `max-events` cannot all fire; refuse them
         // before `FaultPlan::churn` allocates one per event.
-        let churn_axis = axis("churn").map(|a| &a.values);
-        let (field, events): (_, &[u32]) = match (&fault.events, churn_axis) {
-            (Bind::Fixed(events), _) => ("fault.events", std::slice::from_ref(events)),
-            (Bind::Axis, Some(AxisValues::U32(v))) => ("axis.churn", v),
-            (Bind::Axis, _) => ("axis.churn", &[]),
+        let (field, events) = match &fault.events {
+            Bind::Fixed(events) => ("fault.events", std::slice::from_ref(events)),
+            Bind::Axis => ("axis.churn", u32s("churn")),
         };
         if let Some(&e) = events.iter().find(|&&e| u64::from(e) > scenario.max_events) {
             return Err(ScenarioError::field(
@@ -481,30 +394,15 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
     }
 
     // Strategy/budget axes <-> adversary binds; strategy vocabulary.
-    let strategy_binds_axis = matches!(
-        &scenario.adversary,
-        Some(adv) if adv.strategy == Bind::Axis
-    );
-    let budget_binds_axis = matches!(
-        &scenario.adversary,
-        Some(adv) if adv.budget == Bind::Axis
-    );
-    let strategy_values: Vec<String> = match (axis("strategy"), strategy_binds_axis) {
-        (Some(_), false) => {
-            return Err(ScenarioError::field(
-                "axis.strategy",
-                "has no consumer; bind it with `adversary strategy=@strategy`",
-            ));
-        }
-        (None, true) => {
-            return Err(ScenarioError::Missing {
-                field: "axis.strategy".to_string(),
-            });
-        }
-        (Some(a), true) => {
-            let AxisValues::Str(values) = &a.values else {
-                unreachable!("axis types validated above")
-            };
+    let adversary = scenario.adversary.as_ref();
+    let strategy_bound = adversary.is_some_and(|adv| adv.strategy == Bind::Axis);
+    let budget_bound = adversary.is_some_and(|adv| adv.budget == Bind::Axis);
+    check_bound("strategy", strategy_bound, "adversary strategy=@strategy")?;
+    let strategy_values: Vec<String> = match axis("strategy") {
+        Some(AxisSpec {
+            values: AxisValues::Str(values),
+            ..
+        }) => {
             for v in values {
                 if !STRATEGIES.contains(&v.as_str()) {
                     return Err(ScenarioError::field(
@@ -515,22 +413,9 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
             }
             values.clone()
         }
-        (None, false) => Vec::new(),
+        _ => Vec::new(),
     };
-    match (axis("budget").is_some(), budget_binds_axis) {
-        (true, false) => {
-            return Err(ScenarioError::field(
-                "axis.budget",
-                "has no consumer; bind it with `adversary budget=@budget`",
-            ));
-        }
-        (false, true) => {
-            return Err(ScenarioError::Missing {
-                field: "axis.budget".to_string(),
-            });
-        }
-        _ => {}
-    }
+    check_bound("budget", budget_bound, "adversary budget=@budget")?;
     if let Some(adv) = &scenario.adversary {
         if let Bind::Fixed(s) = &adv.strategy {
             if !STRATEGIES.contains(&s.as_str()) {
@@ -543,14 +428,8 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
         if let Bind::Fixed(b) = adv.budget {
             check_finite_positive(b, "adversary.budget")?;
         }
-        if let Some(AxisSpec {
-            values: AxisValues::F64(budgets),
-            ..
-        }) = axis("budget")
-        {
-            for &b in budgets {
-                check_finite_positive(b, "axis.budget")?;
-            }
+        for &b in f64s("budget") {
+            check_finite_positive(b, "axis.budget")?;
         }
         if !(adv.burst_p.is_finite() && adv.burst_p > 0.0 && adv.burst_p <= 1.0) {
             return Err(ScenarioError::field(
@@ -566,8 +445,7 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
         }
     }
 
-    // Record-mode prerequisites.
-    if scenario.record == RecordMode::Adversary && scenario.adversary.is_none() {
+    if matches!(scenario.workload, Workload::Adversary(_)) && scenario.adversary.is_none() {
         return Err(ScenarioError::field(
             "record",
             "the adversary record mode requires an `adversary` stanza",
@@ -583,7 +461,9 @@ pub fn compile(scenario: &Scenario) -> Result<CompiledScenario, ScenarioError> {
                     let spec = axis(axis_name).ok_or_else(|| {
                         ScenarioError::field("filter", format!("no axis named `{axis_name}`"))
                     })?;
-                    let idx = value_texts(&spec.values)
+                    let idx = spec
+                        .values
+                        .texts()
                         .iter()
                         .position(|t| t == value)
                         .ok_or_else(|| {
@@ -804,25 +684,10 @@ impl CompiledScenario {
         RingConfig::new(self.cell_n(cell), run).kind(self.cell_kind(cell))
     }
 
-    /// Runs the scenario's election protocol on `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario runs a consensus or sync protocol.
-    pub fn run_election(&self, cfg: &RingConfig) -> ElectionOutcome {
-        match self.scenario.protocol {
-            ProtocolSpec::AbeCalibrated { a } => run_abe_calibrated(cfg, a),
-            ProtocolSpec::Abe { a0 } => run_abe(cfg, a0),
-            ProtocolSpec::ItaiRodeh => run_itai_rodeh(cfg),
-            ProtocolSpec::ChangRoberts => run_chang_roberts(cfg),
-            ProtocolSpec::Peterson => run_peterson(cfg),
-            ProtocolSpec::Benor | ProtocolSpec::Brb => {
-                unreachable!("consensus protocols take the consensus record path")
-            }
-            ProtocolSpec::Antientropy { .. } => {
-                unreachable!("anti-entropy takes the sync record path")
-            }
-        }
+    /// Runs the scenario's election protocol on `cfg`; `None` when the
+    /// workload is not an election.
+    pub fn run_election(&self, cfg: &RingConfig) -> Option<ElectionOutcome> {
+        self.scenario.workload.election().map(|p| elect(p, cfg))
     }
 
     /// This cell's adversary plan, when a stanza is present.
@@ -849,85 +714,47 @@ impl CompiledScenario {
         })
     }
 
-    /// Runs one consensus cell: the e19/e20 metric set — outcome-class
-    /// indicators plus progress and complexity — with fault telemetry
-    /// iff the scenario injects faults and adversary telemetry iff the
-    /// cell's resolved strategy tampers. `faulty` defaults to the largest
-    /// legal budget `(n - 1) / 3` derived per cell.
-    fn consensus_metrics(&self, cell: &Cell) -> CellMetrics {
+    /// One consensus cell's configuration. `faulty` defaults to the
+    /// largest legal budget `(n - 1) / 3` derived per cell.
+    fn consensus_config(&self, cell: &Cell) -> ConsensusConfig {
         let n = self.cell_n(cell);
         let f = self.scenario.faulty.unwrap_or_else(|| default_faulty(n));
-        let cfg = ConsensusConfig::new(n, f, self.cell_run(cell));
-        let (mut metrics, report) = match self.scenario.protocol {
-            ProtocolSpec::Benor => {
-                let o = run_benor(&cfg, InputAssignment::Split);
-                (CellMetrics::new().with_consensus(&o), o.report)
-            }
-            ProtocolSpec::Brb => {
-                let o = run_brb(&cfg, BRB_PAYLOAD);
-                (CellMetrics::new().with_brb(&o), o.report)
-            }
-            _ => unreachable!("record consensus requires a consensus protocol"),
-        };
+        ConsensusConfig::new(n, f, self.cell_run(cell))
+    }
+
+    /// Adds fault telemetry iff the scenario injects faults and
+    /// adversary telemetry iff the cell's resolved strategy tampers (the
+    /// consensus and sync metric sets).
+    fn with_stanzas(
+        &self,
+        cell: &Cell,
+        mut metrics: CellMetrics,
+        report: &NetworkReport,
+    ) -> CellMetrics {
         if self.scenario.fault.is_some() {
-            metrics = metrics.with_faults(&report);
+            metrics = metrics.with_faults(report);
         }
         if self.scenario.adversary.is_some() && self.cell_strategy(cell) != Some("none") {
-            metrics = metrics.with_adversary(&report);
+            metrics = metrics.with_adversary(report);
         }
         metrics
     }
 
-    /// Builds the cell's anti-entropy configuration: divergence from the
-    /// directive or its axis.
-    fn cell_sync_config(&self, cell: &Cell) -> SyncConfig {
-        let ProtocolSpec::Antientropy { key_space } = self.scenario.protocol else {
-            unreachable!("record sync requires `protocol antientropy`")
-        };
-        let divergence = match self.scenario.divergence {
-            Some(Bind::Fixed(d)) => d,
-            Some(Bind::Axis) => cell.f64("divergence"),
-            None => unreachable!("divergence required by compile"),
-        };
-        SyncConfig::new(self.cell_n(cell), key_space, self.cell_run(cell)).divergence(divergence)
-    }
-
-    /// Runs one anti-entropy cell: the e21/e22 metric set — convergence
-    /// indicators, rounds, wire bytes, transfer counters, and the
-    /// `invented` no-invention count — with fault telemetry iff the
-    /// scenario injects faults and adversary telemetry iff the cell's
-    /// resolved strategy tampers.
-    fn sync_metrics(&self, cell: &Cell) -> CellMetrics {
-        let cfg = self.cell_sync_config(cell);
-        let o = run_antientropy(&cfg);
-        let mut metrics = CellMetrics::new()
-            .with_sync(&o)
-            .metric("invented", o.invented().len() as f64);
-        if self.scenario.fault.is_some() {
-            metrics = metrics.with_faults(&o.report);
-        }
-        if self.scenario.adversary.is_some() && self.cell_strategy(cell) != Some("none") {
-            metrics = metrics.with_adversary(&o.report);
-        }
-        metrics
-    }
-
-    /// Runs one cell and records the scenario's metric set.
+    /// Runs one cell and records its workload's metric set and outcome
+    /// class.
     pub fn run_cell(&self, cell: &Cell) -> CellMetrics {
-        if self.scenario.record == RecordMode::Consensus {
-            return self.consensus_metrics(cell);
-        }
-        if self.scenario.record == RecordMode::Sync {
-            return self.sync_metrics(cell);
-        }
-        let o = self.run_election(&self.election_config(cell, None));
-        match self.scenario.record {
-            RecordMode::Election => {
-                election_metrics(&o).metric("knockouts", o.report.counter("knockouts") as f64)
+        match &self.scenario.workload {
+            Workload::Election(p) => {
+                let o = elect(p, &self.election_config(cell, None));
+                CellMetrics::new()
+                    .with_election_unchecked(&o)
+                    .metric("knockouts", o.report.counter("knockouts") as f64)
             }
-            RecordMode::Classified => {
+            Workload::Classified(p) => {
+                let o = elect(p, &self.election_config(cell, None));
                 let class = o.class();
                 let mut metrics = CellMetrics::new()
+                    .class(class)
                     .metric("completed", f64::from(class == OutcomeClass::Completed))
                     .metric("stalled", f64::from(class == OutcomeClass::Stalled))
                     .metric(
@@ -948,8 +775,9 @@ impl CompiledScenario {
                 }
                 metrics
             }
-            RecordMode::Adversary => {
-                let metrics = election_metrics(&o);
+            Workload::Adversary(p) => {
+                let o = elect(p, &self.election_config(cell, None));
+                let metrics = CellMetrics::new().with_election_unchecked(&o);
                 if self.cell_strategy(cell) != Some("none") {
                     metrics.with_adversary(&o.report)
                 } else {
@@ -958,23 +786,41 @@ impl CompiledScenario {
                     metrics
                 }
             }
-            RecordMode::Consensus | RecordMode::Sync => {
-                unreachable!("handled by the early returns above")
+            Workload::Benor => {
+                let o = run_benor(&self.consensus_config(cell), InputAssignment::Split);
+                self.with_stanzas(cell, CellMetrics::new().with_consensus(&o), &o.report)
+            }
+            Workload::Brb => {
+                let o = run_brb(&self.consensus_config(cell), BRB_PAYLOAD);
+                self.with_stanzas(cell, CellMetrics::new().with_brb(&o), &o.report)
+            }
+            Workload::Antientropy { key_space } => {
+                let divergence = match self.scenario.divergence {
+                    Some(Bind::Fixed(d)) => d,
+                    Some(Bind::Axis) => cell.f64("divergence"),
+                    None => unreachable!("divergence required by compile"),
+                };
+                let cfg = SyncConfig::new(self.cell_n(cell), *key_space, self.cell_run(cell))
+                    .divergence(divergence);
+                let o = run_antientropy(&cfg);
+                let metrics = CellMetrics::new()
+                    .with_sync(&o)
+                    .metric("invented", o.invented().len() as f64);
+                self.with_stanzas(cell, metrics, &o.report)
             }
         }
     }
 }
 
-/// The `CellMetrics::with_election` metric set without its termination
-/// assert: a stalled run records `leaders = 0` for the oracles to flag
-/// instead of panicking the sweep worker.
-fn election_metrics(o: &ElectionOutcome) -> CellMetrics {
-    CellMetrics::new()
-        .metric("messages", o.messages as f64)
-        .metric("time", o.time)
-        .metric("ticks", o.ticks as f64)
-        .metric("leaders", o.leaders as f64)
-        .with_report(&o.report)
+/// Runs one election protocol on `cfg`.
+fn elect(protocol: &ElectionProtocol, cfg: &RingConfig) -> ElectionOutcome {
+    match *protocol {
+        ElectionProtocol::AbeCalibrated { a } => run_abe_calibrated(cfg, a),
+        ElectionProtocol::Abe { a0 } => run_abe(cfg, a0),
+        ElectionProtocol::ItaiRodeh => run_itai_rodeh(cfg),
+        ElectionProtocol::ChangRoberts => run_chang_roberts(cfg),
+        ElectionProtocol::Peterson => run_peterson(cfg),
+    }
 }
 
 #[cfg(test)]
@@ -1128,12 +974,58 @@ mod tests {
         // Complete graph under an election protocol.
         let s = parse(&base_text().replace("topology uni-ring", "topology complete")).unwrap();
         assert_eq!(compile(&s).unwrap_err().field_name(), Some("topology"));
-        // Consensus protocol without the consensus record mode.
-        let s = parse(&benor_text().replace("record consensus", "record election")).unwrap();
-        assert_eq!(compile(&s).unwrap_err().field_name(), Some("record"));
+        // Consensus protocol without the consensus record mode: no such
+        // workload, so parsing refuses it.
+        let err = parse(&benor_text().replace("record consensus", "record election")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "field `record`: consensus protocols require `record consensus`"
+        );
         // Consensus record mode under an election protocol.
-        let s = parse(&base_text().replace("record election", "record consensus")).unwrap();
-        assert_eq!(compile(&s).unwrap_err().field_name(), Some("record"));
+        let err = parse(&base_text().replace("record election", "record consensus")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "field `record`: the consensus record mode requires a consensus protocol (benor, brb)"
+        );
+    }
+
+    /// Compiles `text` under every `expect` line: exactly the `legal`
+    /// ones (space-separated) compile, and every other names `expect`.
+    fn assert_expectations(text: &str, legal: &str) {
+        let line = text.lines().find(|l| l.starts_with("expect ")).unwrap();
+        for class in OutcomeClass::ALL
+            .map(OutcomeClass::as_str)
+            .into_iter()
+            .chain(["mixed"])
+        {
+            match compile(&parse(&text.replace(line, &format!("expect {class}"))).unwrap()) {
+                Ok(_) => assert!(legal.split(' ').any(|l| l == class), "{class} compiled"),
+                Err(e) => assert_eq!(e.field_name(), Some("expect"), "{class}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn election_expectations_are_election_classes() {
+        assert_expectations(&base_text(), "completed stalled wrong-leader mixed");
+    }
+
+    #[test]
+    fn consensus_expectations_are_consensus_classes() {
+        let legal = "decided stalled agreement-violation validity-violation mixed";
+        assert_expectations(&benor_text(), legal);
+    }
+
+    #[test]
+    fn sync_expectations_are_sync_classes() {
+        assert_expectations(&sync_text(), "decided stalled mixed");
+        let err =
+            compile(&parse(&sync_text().replace("expect decided", "expect completed")).unwrap());
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "field `expect`: `completed` is not an outcome of `record sync` cells \
+             (expect one of: decided, stalled, mixed)"
+        );
     }
 
     #[test]
@@ -1176,12 +1068,18 @@ mod tests {
         // Anti-entropy off the complete graph.
         let s = parse(&sync_text().replace("topology complete", "topology uni-ring")).unwrap();
         assert_eq!(compile(&s).unwrap_err().field_name(), Some("topology"));
-        // Anti-entropy without the sync record mode.
-        let s = parse(&sync_text().replace("record sync", "record election")).unwrap();
-        assert_eq!(compile(&s).unwrap_err().field_name(), Some("record"));
+        // Anti-entropy without the sync record mode: no such workload.
+        let err = parse(&sync_text().replace("record sync", "record election")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "field `record`: `protocol antientropy` requires `record sync`"
+        );
         // Sync record mode under an election protocol.
-        let s = parse(&base_text().replace("record election", "record sync")).unwrap();
-        assert_eq!(compile(&s).unwrap_err().field_name(), Some("record"));
+        let err = parse(&base_text().replace("record election", "record sync")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "field `record`: the sync record mode requires `protocol antientropy`"
+        );
         // Divergence is required with antientropy...
         let s = parse(&sync_text().replace("divergence 0.25\n", "")).unwrap();
         assert_eq!(compile(&s).unwrap_err().field_name(), Some("divergence"));

@@ -27,8 +27,8 @@
 use abe_sim::SeedStream;
 
 use crate::model::{
-    AdversarySpec, AxisSpec, AxisValues, Bind, DelaySpec, Expectation, FaultSpec, OutcomeClass,
-    ProtocolSpec, RecordMode, Scenario, TopologySpec, DEFAULT_BURST_P, DEFAULT_MAX_EVENTS,
+    AdversarySpec, AxisSpec, AxisValues, Bind, DelaySpec, ElectionProtocol, Expectation, FaultSpec,
+    OutcomeClass, Scenario, TopologySpec, Workload, DEFAULT_BURST_P, DEFAULT_MAX_EVENTS,
     DEFAULT_PARETO_SHAPE,
 };
 
@@ -83,6 +83,24 @@ pub fn random_scenario(seed: u64) -> Scenario {
         )
     };
 
+    // What every family shares; each arm sets the rest.
+    let frame = |workload, topology, axes, expect| Scenario {
+        name,
+        workload,
+        delay,
+        topology,
+        n,
+        axes,
+        seeds,
+        base_seed,
+        max_events: DEFAULT_MAX_EVENTS,
+        fault: None,
+        faulty: None,
+        divergence: None,
+        adversary: None,
+        filter: None,
+        expect,
+    };
     match p.pick("family", 5) {
         // Plain election: any protocol; baselines stay on uni-rings.
         0 => {
@@ -92,24 +110,8 @@ pub fn random_scenario(seed: u64) -> Scenario {
             } else {
                 random_topology(&p, &mut axes)
             };
-            Scenario {
-                name,
-                protocol,
-                delay,
-                topology,
-                n,
-                axes,
-                seeds,
-                base_seed,
-                max_events: DEFAULT_MAX_EVENTS,
-                fault: None,
-                faulty: None,
-                divergence: None,
-                adversary: None,
-                filter: None,
-                record: RecordMode::Election,
-                expect: Expectation::Class(OutcomeClass::Completed),
-            }
+            let completed = Expectation::Class(OutcomeClass::Completed);
+            frame(Workload::Election(protocol), topology, axes, completed)
         }
         // Churn: stalls are legal (expect mixed), wrong leaders never.
         1 => {
@@ -123,27 +125,15 @@ pub fn random_scenario(seed: u64) -> Scenario {
             } else {
                 Bind::Fixed(p.pick("churn", 3) as u32)
             };
+            let workload = Workload::Classified(random_protocol(&p, false));
             Scenario {
-                name,
-                protocol: random_protocol(&p, false),
-                delay,
-                topology,
-                n,
-                axes,
-                seeds,
-                base_seed,
                 max_events: 50_000,
                 fault: Some(FaultSpec {
                     events,
                     horizon: 2.0 * f64::from(max_n),
                     downtime: *p.choose("downtime", &[1.0, 2.0, 4.0]),
                 }),
-                faulty: None,
-                divergence: None,
-                adversary: None,
-                filter: None,
-                record: RecordMode::Classified,
-                expect: Expectation::Mixed,
+                ..frame(workload, topology, axes, Expectation::Mixed)
             }
         }
         // Adversary: legal schedules attack liveness margins, never
@@ -180,28 +170,16 @@ pub fn random_scenario(seed: u64) -> Scenario {
             } else {
                 Bind::Fixed(*p.choose("budget", &[1.0, 2.0, 4.0]))
             };
+            let workload = Workload::Adversary(random_protocol(&p, false));
+            let completed = Expectation::Class(OutcomeClass::Completed);
             Scenario {
-                name,
-                protocol: random_protocol(&p, false),
-                delay,
-                topology,
-                n,
-                axes,
-                seeds,
-                base_seed,
-                max_events: DEFAULT_MAX_EVENTS,
-                fault: None,
-                faulty: None,
-                divergence: None,
                 adversary: Some(AdversarySpec {
                     strategy,
                     budget,
                     burst_p: DEFAULT_BURST_P,
                     pareto_shape: DEFAULT_PARETO_SHAPE,
                 }),
-                filter: None,
-                record: RecordMode::Adversary,
-                expect: Expectation::Class(OutcomeClass::Completed),
+                ..frame(workload, topology, axes, completed)
             }
         }
         // Anti-entropy sync: replicas on the complete graph reconcile a
@@ -222,7 +200,8 @@ pub fn random_scenario(seed: u64) -> Scenario {
             // Half the sync scenarios sweep the calibrated delay-family
             // axis (the e21 idiom); the rest keep the fixed model drawn
             // above.
-            let delay = if p.pick("delay-axis", 2) == 0 {
+            let delay_axis = p.pick("delay-axis", 2) == 0;
+            if delay_axis {
                 axes.push(AxisSpec {
                     name: "delay".to_string(),
                     values: AxisValues::Str(
@@ -232,28 +211,15 @@ pub fn random_scenario(seed: u64) -> Scenario {
                             .collect(),
                     ),
                 });
-                DelaySpec::Axis { mean: 1.0 }
-            } else {
-                delay
-            };
-            Scenario {
-                name,
-                protocol: ProtocolSpec::Antientropy { key_space },
-                delay,
-                topology: TopologySpec::Complete,
-                n,
-                axes,
-                seeds,
-                base_seed,
-                max_events: DEFAULT_MAX_EVENTS,
-                fault: None,
-                faulty: None,
-                divergence: Some(divergence),
-                adversary: None,
-                filter: None,
-                record: RecordMode::Sync,
-                expect: Expectation::Class(OutcomeClass::Decided),
             }
+            let workload = Workload::Antientropy { key_space };
+            let decided = Expectation::Class(OutcomeClass::Decided);
+            let mut scenario = frame(workload, TopologySpec::Complete, axes, decided);
+            scenario.divergence = Some(divergence);
+            if delay_axis {
+                scenario.delay = DelaySpec::Axis { mean: 1.0 };
+            }
+            scenario
         }
         // Consensus: Ben-Or or reliable broadcast on the complete
         // graph; agreement and validity must hold under every schedule.
@@ -263,10 +229,10 @@ pub fn random_scenario(seed: u64) -> Scenario {
         // disagree. Every generated size satisfies n > 3f for f = 1,
         // so an explicit `faulty 1` is always legal.
         _ => {
-            let protocol = if p.pick("consensus-protocol", 2) == 0 {
-                ProtocolSpec::Benor
+            let workload = if p.pick("consensus-protocol", 2) == 0 {
+                Workload::Benor
             } else {
-                ProtocolSpec::Brb
+                Workload::Brb
             };
             let adversary = if p.pick("consensus-adversary", 2) == 0 {
                 Some(AdversarySpec {
@@ -281,59 +247,47 @@ pub fn random_scenario(seed: u64) -> Scenario {
             } else {
                 None
             };
-            let expect = if protocol == ProtocolSpec::Brb && adversary.is_none() {
+            let expect = if workload == Workload::Brb && adversary.is_none() {
                 Expectation::Class(OutcomeClass::Decided)
             } else {
                 Expectation::Mixed
             };
             Scenario {
-                name,
-                protocol,
-                delay,
-                topology: TopologySpec::Complete,
-                n,
-                axes,
-                seeds,
-                base_seed,
                 max_events: 400_000,
-                fault: None,
                 faulty: if p.pick("consensus-faulty", 2) == 0 {
                     None
                 } else {
                     Some(1)
                 },
-                divergence: None,
                 adversary,
-                filter: None,
-                record: RecordMode::Consensus,
-                expect,
+                ..frame(workload, TopologySpec::Complete, axes, expect)
             }
         }
     }
 }
 
-fn is_baseline(p: &ProtocolSpec) -> bool {
+fn is_baseline(p: &ElectionProtocol) -> bool {
     matches!(
         p,
-        ProtocolSpec::ItaiRodeh | ProtocolSpec::ChangRoberts | ProtocolSpec::Peterson
+        ElectionProtocol::ItaiRodeh | ElectionProtocol::ChangRoberts | ElectionProtocol::Peterson
     )
 }
 
 /// ABE protocols with safe parameters; baselines only when allowed
 /// (fault and adversary scenarios stay on the ABE protocols the
 /// experiments exercise).
-fn random_protocol(p: &Picker, allow_baselines: bool) -> ProtocolSpec {
+fn random_protocol(p: &Picker, allow_baselines: bool) -> ElectionProtocol {
     let limit = if allow_baselines { 5 } else { 2 };
     match p.pick("protocol", limit) {
-        0 => ProtocolSpec::AbeCalibrated {
+        0 => ElectionProtocol::AbeCalibrated {
             a: *p.choose("a", &[0.5, 1.0, 2.0]),
         },
-        1 => ProtocolSpec::Abe {
+        1 => ElectionProtocol::Abe {
             a0: *p.choose("a0", &[0.1, 0.25]),
         },
-        2 => ProtocolSpec::ItaiRodeh,
-        3 => ProtocolSpec::ChangRoberts,
-        _ => ProtocolSpec::Peterson,
+        2 => ElectionProtocol::ItaiRodeh,
+        3 => ElectionProtocol::ChangRoberts,
+        _ => ElectionProtocol::Peterson,
     }
 }
 
@@ -411,19 +365,21 @@ mod tests {
         assert!(scenarios.iter().any(|s| s.fault.is_some()));
         assert!(scenarios
             .iter()
-            .any(|s| s.adversary.is_some() && !s.protocol.is_consensus()));
-        assert!(scenarios.iter().any(|s| s.fault.is_none()
-            && s.adversary.is_none()
-            && !s.protocol.is_consensus()
-            && !s.protocol.is_sync()));
-        assert!(scenarios.iter().any(|s| s.protocol == ProtocolSpec::Benor));
-        assert!(scenarios.iter().any(|s| s.protocol == ProtocolSpec::Brb));
+            .any(|s| matches!(s.workload, Workload::Adversary(_))));
+        assert!(scenarios
+            .iter()
+            .any(|s| matches!(s.workload, Workload::Election(_))));
+        assert!(scenarios.iter().any(|s| s.workload == Workload::Benor));
+        assert!(scenarios.iter().any(|s| s.workload == Workload::Brb));
         // The sync family appears, in both its divergence binds.
+        let sync = |s: &&Scenario| matches!(s.workload, Workload::Antientropy { .. });
         assert!(scenarios
             .iter()
-            .any(|s| s.protocol.is_sync() && s.divergence == Some(Bind::Axis)));
+            .filter(sync)
+            .any(|s| s.divergence == Some(Bind::Axis)));
         assert!(scenarios
             .iter()
-            .any(|s| s.protocol.is_sync() && matches!(s.divergence, Some(Bind::Fixed(_)))));
+            .filter(sync)
+            .any(|s| matches!(s.divergence, Some(Bind::Fixed(_)))));
     }
 }

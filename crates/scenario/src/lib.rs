@@ -59,7 +59,7 @@ pub mod parse;
 pub use campaign::{run_campaign, CampaignOptions, CampaignReport};
 pub use compile::{compile, CompiledScenario};
 pub use model::{
-    AdversarySpec, AxisSpec, AxisValues, Bind, DelaySpec, Expectation, FaultSpec, FilterSpec,
-    ProtocolSpec, RecordMode, Scenario, ScenarioError, TopologySpec,
+    AdversarySpec, AxisSpec, AxisValues, Bind, DelaySpec, ElectionProtocol, Expectation, FaultSpec,
+    FilterSpec, Scenario, ScenarioError, TopologySpec, Workload,
 };
 pub use parse::parse;

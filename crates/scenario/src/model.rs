@@ -8,6 +8,11 @@
 //! what makes scenarios comparable, printable, and fuzzable as plain
 //! data.
 //!
+//! The text form's `protocol` and `record` lines denote one
+//! [`Workload`]: each legal pairing is one variant, so a pairing that
+//! cannot run cannot be written, and [`Workload::classes`] names the
+//! outcome classes its cells can end in (what `expect` may declare).
+//!
 //! Axis names form a **closed vocabulary** — each name fixes both the
 //! value type and the configuration knob it drives:
 //!
@@ -39,10 +44,19 @@ pub const DEFAULT_BURST_P: f64 = 0.05;
 /// resampling distribution (the value `e17` declares).
 pub const DEFAULT_PARETO_SHAPE: f64 = 2.5;
 
-/// Which protocol a scenario runs: a ring election, or a consensus
-/// protocol on the complete graph.
+/// Whether `name` is a legal scenario name: non-empty ASCII
+/// alphanumerics, `-`, `_` and `.` (it names a golden file).
+pub(crate) fn is_scenario_name(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+}
+
+/// The ring-election protocols: the paper's §3 algorithm and its
+/// baselines.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ProtocolSpec {
+pub enum ElectionProtocol {
     /// The paper's algorithm with the calibrated knockout constant `a`.
     AbeCalibrated {
         /// Knockout distribution constant (the paper's `a`).
@@ -59,31 +73,70 @@ pub enum ProtocolSpec {
     ChangRoberts,
     /// Peterson baseline (unidirectional rings only).
     Peterson,
-    /// Ben-Or binary consensus with split inputs (complete graph only,
-    /// recorded with `record consensus`).
+}
+
+/// What a scenario runs and the metric set each cell records: one value
+/// per legal pairing of the text form's `protocol` and `record` lines,
+/// so an illegal pairing cannot be written. Each metric set is that of
+/// one experiment family (`docs/SCENARIO.md` lists the metrics).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Workload {
+    /// An election, `record election` (e1).
+    Election(ElectionProtocol),
+    /// An election, `record classified`: outcome-class indicators and
+    /// fault telemetry (e14).
+    Classified(ElectionProtocol),
+    /// An election, `record adversary`: auditor telemetry on tampered
+    /// cells (e17). Requires an `adversary` stanza.
+    Adversary(ElectionProtocol),
+    /// Ben-Or binary consensus with split inputs on the complete graph,
+    /// `record consensus` (e19).
     Benor,
-    /// Bracha reliable broadcast, node 0 broadcasting (complete graph
-    /// only, recorded with `record consensus`).
+    /// Bracha reliable broadcast from node 0 on the complete graph,
+    /// `record consensus` (e20).
     Brb,
-    /// Anti-entropy state sync: replicas reconcile keyed versioned
-    /// state via Merkle-style digest exchange (complete graph only,
-    /// recorded with `record sync`, paired with a `divergence`
-    /// directive).
+    /// Anti-entropy state sync on the complete graph with a `divergence`
+    /// directive, `record sync` (e21/e22).
     Antientropy {
         /// Key universe size each replica's store draws from.
         key_space: u32,
     },
 }
 
-impl ProtocolSpec {
-    /// Whether this is a consensus protocol (complete-graph family).
-    pub fn is_consensus(&self) -> bool {
-        matches!(self, ProtocolSpec::Benor | ProtocolSpec::Brb)
+impl Workload {
+    /// The text form's `record` mode, also written into campaign
+    /// documents.
+    pub fn record(&self) -> &'static str {
+        match self {
+            Workload::Election(_) => "election",
+            Workload::Classified(_) => "classified",
+            Workload::Adversary(_) => "adversary",
+            Workload::Benor | Workload::Brb => "consensus",
+            Workload::Antientropy { .. } => "sync",
+        }
     }
 
-    /// Whether this is the anti-entropy state-sync workload.
-    pub fn is_sync(&self) -> bool {
-        matches!(self, ProtocolSpec::Antientropy { .. })
+    /// The election protocol, for the three election workloads.
+    pub fn election(&self) -> Option<&ElectionProtocol> {
+        match self {
+            Workload::Election(p) | Workload::Classified(p) | Workload::Adversary(p) => Some(p),
+            Workload::Benor | Workload::Brb | Workload::Antientropy { .. } => None,
+        }
+    }
+
+    /// The outcome classes a cell of this workload can end in: the
+    /// classes an `expect` line may name besides `mixed`.
+    pub fn classes(&self) -> &'static [OutcomeClass] {
+        use OutcomeClass::*;
+        match self {
+            Workload::Election(_) | Workload::Classified(_) | Workload::Adversary(_) => {
+                &[Completed, Stalled, WrongLeader]
+            }
+            Workload::Benor | Workload::Brb => {
+                &[Decided, Stalled, AgreementViolation, ValidityViolation]
+            }
+            Workload::Antientropy { .. } => &[Decided, Stalled],
+        }
     }
 }
 
@@ -197,45 +250,6 @@ pub struct FilterSpec {
     pub only_value: String,
 }
 
-/// Which per-cell metric set the compiled runner records: each mode is
-/// the metric set of one experiment family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordMode {
-    /// e1-style election metrics: `knockouts`, `messages`, `time`,
-    /// `ticks`, `leaders`, plus the full event-counter report.
-    Election,
-    /// e14-style fault classification: outcome-class indicator metrics
-    /// plus survivor-only `messages_ok` / `time_ok` and fault telemetry.
-    Classified,
-    /// e17-style adversary metrics: election metrics plus adversary
-    /// telemetry (spent budget, violations) on tampered cells.
-    Adversary,
-    /// e19/e20-style consensus metrics: outcome-class indicators
-    /// (`decided` / `stalled` / `agreement_violation` /
-    /// `validity_violation`) plus progress and complexity metrics, with
-    /// fault and adversary telemetry where the stanzas apply.
-    Consensus,
-    /// e21/e22-style anti-entropy metrics: `converged` /
-    /// `residual_divergence` indicators, rounds, wire bytes, the
-    /// digest/leaf/entry counters, and the `invented` no-invention
-    /// metric, with fault and adversary telemetry where the stanzas
-    /// apply.
-    Sync,
-}
-
-impl RecordMode {
-    /// Stable lower-case name used in the text form and campaign JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RecordMode::Election => "election",
-            RecordMode::Classified => "classified",
-            RecordMode::Adversary => "adversary",
-            RecordMode::Consensus => "consensus",
-            RecordMode::Sync => "sync",
-        }
-    }
-}
-
 /// Declared expected outcome of every cell, checked by the campaign and
 /// fuzz oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,6 +318,15 @@ impl AxisValues {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Each value as the text form writes it.
+    pub(crate) fn texts(&self) -> Vec<String> {
+        match self {
+            AxisValues::U32(v) => v.iter().map(|x| x.to_string()).collect(),
+            AxisValues::F64(v) => v.iter().map(|x| x.to_string()).collect(),
+            AxisValues::Str(v) => v.clone(),
+        }
+    }
 }
 
 /// A complete declarative experiment.
@@ -320,8 +343,8 @@ impl AxisValues {
 pub struct Scenario {
     /// Scenario name (used for golden filenames and reports).
     pub name: String,
-    /// The protocol under test (election or consensus).
-    pub protocol: ProtocolSpec,
+    /// What runs in every cell and which metrics it records.
+    pub workload: Workload,
     /// Channel delay distribution.
     pub delay: DelaySpec,
     /// Network topology, fixed or axis-driven.
@@ -350,8 +373,6 @@ pub struct Scenario {
     pub adversary: Option<AdversarySpec>,
     /// Optional grid filter.
     pub filter: Option<FilterSpec>,
-    /// Metric set recorded per cell.
-    pub record: RecordMode,
     /// Declared outcome class, checked by the oracles.
     pub expect: Expectation,
 }

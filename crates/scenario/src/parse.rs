@@ -37,15 +37,46 @@
 use std::fmt::Write as _;
 
 use crate::model::{
-    AdversarySpec, AxisSpec, AxisValues, Bind, DelaySpec, Expectation, FaultSpec, FilterSpec,
-    ProtocolSpec, RecordMode, Scenario, ScenarioError, TopologySpec, DEFAULT_BURST_P,
-    DEFAULT_MAX_EVENTS, DEFAULT_PARETO_SHAPE,
+    is_scenario_name, AdversarySpec, AxisSpec, AxisValues, Bind, DelaySpec, ElectionProtocol,
+    Expectation, FaultSpec, FilterSpec, Scenario, ScenarioError, TopologySpec, Workload,
+    DEFAULT_BURST_P, DEFAULT_MAX_EVENTS, DEFAULT_PARETO_SHAPE,
 };
+
+/// The `record` modes the text form names.
+const RECORD_MODES: [&str; 5] = ["election", "classified", "adversary", "consensus", "sync"];
+
+/// Applies the `record` line to the workload the `protocol` line names
+/// (an election protocol alone names `record election`); an illegal
+/// pairing names the `record` field.
+fn with_record(workload: Workload, record: &str) -> Result<Workload, ScenarioError> {
+    let bad = |message: &str| Err(ScenarioError::field("record", message));
+    match (workload, record) {
+        (w, r) if w.record() == r => Ok(w),
+        (Workload::Election(p), "classified") => Ok(Workload::Classified(p)),
+        (Workload::Election(p), "adversary") => Ok(Workload::Adversary(p)),
+        (Workload::Benor | Workload::Brb, _) => {
+            bad("consensus protocols require `record consensus`")
+        }
+        (_, "consensus") => {
+            bad("the consensus record mode requires a consensus protocol (benor, brb)")
+        }
+        (Workload::Antientropy { .. }, _) => bad("`protocol antientropy` requires `record sync`"),
+        _ => bad("the sync record mode requires `protocol antientropy`"),
+    }
+}
 
 fn syntax(line: usize, message: impl Into<String>) -> ScenarioError {
     ScenarioError::Syntax {
         line,
         message: message.into(),
+    }
+}
+
+/// The one value of a single-valued directive.
+fn single<'a>(rest: &[&'a str], line: usize, usage: &str) -> Result<&'a str, ScenarioError> {
+    match rest {
+        [tok] => Ok(tok),
+        _ => Err(syntax(line, format!("expected `{usage}`"))),
     }
 }
 
@@ -100,12 +131,7 @@ fn parse_f64(tok: &str, field: &str) -> Result<f64, ScenarioError> {
         .map_err(|_| ScenarioError::field(field, format!("not a number: `{tok}`")))
 }
 
-fn parse_u32(tok: &str, field: &str) -> Result<u32, ScenarioError> {
-    tok.parse()
-        .map_err(|_| ScenarioError::field(field, format!("not an unsigned integer: `{tok}`")))
-}
-
-fn parse_u64(tok: &str, field: &str) -> Result<u64, ScenarioError> {
+fn parse_uint<T: std::str::FromStr>(tok: &str, field: &str) -> Result<T, ScenarioError> {
     tok.parse()
         .map_err(|_| ScenarioError::field(field, format!("not an unsigned integer: `{tok}`")))
 }
@@ -132,12 +158,14 @@ fn bind<T>(
 /// Errors are structured: malformed lines yield
 /// [`ScenarioError::Syntax`] with the 1-based line number; bad values
 /// yield [`ScenarioError::Field`] naming the field; absent required
-/// directives yield [`ScenarioError::Missing`]. Semantic validation
-/// (axis/bind consistency, parameter ranges) is deferred to
-/// [`crate::compile()`] so the model stays plain data.
+/// directives yield [`ScenarioError::Missing`]; a `protocol` line and a
+/// `record` line that form no [`Workload`] yield a field error naming
+/// `record`. Semantic validation (axis/bind consistency, parameter
+/// ranges) is deferred to [`crate::compile()`] so the model stays plain
+/// data.
 pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let mut name: Option<String> = None;
-    let mut protocol: Option<ProtocolSpec> = None;
+    let mut protocol: Option<Workload> = None;
     let mut delay: Option<DelaySpec> = None;
     let mut topology: Option<TopologySpec> = None;
     let mut n: Option<u32> = None;
@@ -150,7 +178,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let mut fault: Option<FaultSpec> = None;
     let mut adversary: Option<AdversarySpec> = None;
     let mut filter: Option<FilterSpec> = None;
-    let mut record: Option<RecordMode> = None;
+    let mut record: Option<&str> = None;
     let mut expect: Option<Expectation> = None;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -163,14 +191,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         let (dir, rest) = (toks[0], &toks[1..]);
         match dir {
             "scenario" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `scenario NAME`"));
-                };
-                if tok.is_empty()
-                    || !tok
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-                {
+                let tok = single(rest, lineno, "scenario NAME")?;
+                if !is_scenario_name(tok) {
                     return Err(ScenarioError::field(
                         "scenario",
                         format!("name must be alphanumeric/-/_/. , got `{tok}`"),
@@ -184,19 +206,19 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 };
                 let mut kv = kv_pairs(params, lineno)?;
                 let spec = match kind {
-                    "abe-calibrated" => ProtocolSpec::AbeCalibrated {
+                    "abe-calibrated" => Workload::Election(ElectionProtocol::AbeCalibrated {
                         a: parse_f64(require(&mut kv, "a", "protocol.a")?, "protocol.a")?,
-                    },
-                    "abe" => ProtocolSpec::Abe {
+                    }),
+                    "abe" => Workload::Election(ElectionProtocol::Abe {
                         a0: parse_f64(require(&mut kv, "a0", "protocol.a0")?, "protocol.a0")?,
-                    },
-                    "itai-rodeh" => ProtocolSpec::ItaiRodeh,
-                    "chang-roberts" => ProtocolSpec::ChangRoberts,
-                    "peterson" => ProtocolSpec::Peterson,
-                    "benor" => ProtocolSpec::Benor,
-                    "brb" => ProtocolSpec::Brb,
-                    "antientropy" => ProtocolSpec::Antientropy {
-                        key_space: parse_u32(
+                    }),
+                    "itai-rodeh" => Workload::Election(ElectionProtocol::ItaiRodeh),
+                    "chang-roberts" => Workload::Election(ElectionProtocol::ChangRoberts),
+                    "peterson" => Workload::Election(ElectionProtocol::Peterson),
+                    "benor" => Workload::Benor,
+                    "brb" => Workload::Brb,
+                    "antientropy" => Workload::Antientropy {
+                        key_space: parse_uint(
                             require(&mut kv, "key-space", "protocol.key-space")?,
                             "protocol.key-space",
                         )?,
@@ -243,13 +265,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 set_once(&mut delay, spec, lineno, dir)?;
             }
             "topology" => {
-                let [tok] = rest else {
-                    return Err(syntax(
-                        lineno,
-                        "expected `topology uni-ring|bidi-ring|complete|@topo`",
-                    ));
-                };
-                let spec = match *tok {
+                let tok = single(rest, lineno, "topology uni-ring|bidi-ring|complete|@topo")?;
+                let spec = match tok {
                     "uni-ring" => TopologySpec::UniRing,
                     "bidi-ring" => TopologySpec::BidiRing,
                     "complete" => TopologySpec::Complete,
@@ -261,21 +278,15 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 set_once(&mut topology, spec, lineno, dir)?;
             }
             "n" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `n SIZE`"));
-                };
-                set_once(&mut n, parse_u32(tok, "n")?, lineno, dir)?;
+                let tok = single(rest, lineno, "n SIZE")?;
+                set_once(&mut n, parse_uint(tok, "n")?, lineno, dir)?;
             }
             "faulty" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `faulty BUDGET`"));
-                };
-                set_once(&mut faulty, parse_u32(tok, "faulty")?, lineno, dir)?;
+                let tok = single(rest, lineno, "faulty BUDGET")?;
+                set_once(&mut faulty, parse_uint(tok, "faulty")?, lineno, dir)?;
             }
             "divergence" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `divergence FRACTION|@divergence`"));
-                };
+                let tok = single(rest, lineno, "divergence FRACTION|@divergence")?;
                 let b = bind(tok, "divergence", "divergence", parse_f64)?;
                 set_once(&mut divergence, b, lineno, dir)?;
             }
@@ -290,7 +301,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 let values = match axis_name {
                     "n" | "churn" => AxisValues::U32(
                         vals.iter()
-                            .map(|v| parse_u32(v, &field))
+                            .map(|v| parse_uint(v, &field))
                             .collect::<Result<_, _>>()?,
                     ),
                     "budget" | "divergence" => AxisValues::F64(
@@ -317,22 +328,16 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 });
             }
             "seeds" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `seeds COUNT`"));
-                };
-                set_once(&mut seeds, parse_u64(tok, "seeds")?, lineno, dir)?;
+                let tok = single(rest, lineno, "seeds COUNT")?;
+                set_once(&mut seeds, parse_uint(tok, "seeds")?, lineno, dir)?;
             }
             "base-seed" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `base-seed SEED`"));
-                };
-                set_once(&mut base_seed, parse_u64(tok, "base-seed")?, lineno, dir)?;
+                let tok = single(rest, lineno, "base-seed SEED")?;
+                set_once(&mut base_seed, parse_uint(tok, "base-seed")?, lineno, dir)?;
             }
             "max-events" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `max-events CAP`"));
-                };
-                set_once(&mut max_events, parse_u64(tok, "max-events")?, lineno, dir)?;
+                let tok = single(rest, lineno, "max-events CAP")?;
+                set_once(&mut max_events, parse_uint(tok, "max-events")?, lineno, dir)?;
             }
             "fault" => {
                 let Some((&kind, params)) = rest.split_first() else {
@@ -347,7 +352,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                         require(&mut kv, "events", "fault.events")?,
                         "fault.events",
                         "churn",
-                        parse_u32,
+                        parse_uint,
                     )?,
                     horizon: parse_f64(
                         require(&mut kv, "horizon", "fault.horizon")?,
@@ -415,25 +420,14 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 )?;
             }
             "record" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `record MODE`"));
-                };
-                let mode = match *tok {
-                    "election" => RecordMode::Election,
-                    "classified" => RecordMode::Classified,
-                    "adversary" => RecordMode::Adversary,
-                    "consensus" => RecordMode::Consensus,
-                    "sync" => RecordMode::Sync,
-                    other => {
-                        return Err(syntax(lineno, format!("unknown record mode `{other}`")));
-                    }
-                };
-                set_once(&mut record, mode, lineno, dir)?;
+                let tok = single(rest, lineno, "record MODE")?;
+                if !RECORD_MODES.contains(&tok) {
+                    return Err(syntax(lineno, format!("unknown record mode `{tok}`")));
+                }
+                set_once(&mut record, tok, lineno, dir)?;
             }
             "expect" => {
-                let [tok] = rest else {
-                    return Err(syntax(lineno, "expected `expect CLASS`"));
-                };
+                let tok = single(rest, lineno, "expect CLASS")?;
                 let e = Expectation::from_name(tok)
                     .ok_or_else(|| syntax(lineno, format!("unknown expectation `{tok}`")))?;
                 set_once(&mut expect, e, lineno, dir)?;
@@ -447,9 +441,10 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let missing = |field: &str| ScenarioError::Missing {
         field: field.to_string(),
     };
+    let name = name.ok_or_else(|| missing("scenario"))?;
+    let protocol = protocol.ok_or_else(|| missing("protocol"))?;
     Ok(Scenario {
-        name: name.ok_or_else(|| missing("scenario"))?,
-        protocol: protocol.ok_or_else(|| missing("protocol"))?,
+        name,
         delay: delay.ok_or_else(|| missing("delay"))?,
         topology: topology.ok_or_else(|| missing("topology"))?,
         n,
@@ -462,7 +457,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         fault,
         adversary,
         filter,
-        record: record.ok_or_else(|| missing("record"))?,
+        workload: with_record(protocol, record.ok_or_else(|| missing("record"))?)?,
         expect: expect.ok_or_else(|| missing("expect"))?,
     })
 }
@@ -484,15 +479,19 @@ impl Scenario {
     pub fn print(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "scenario {}", self.name);
-        let _ = match &self.protocol {
-            ProtocolSpec::AbeCalibrated { a } => writeln!(out, "protocol abe-calibrated a={a}"),
-            ProtocolSpec::Abe { a0 } => writeln!(out, "protocol abe a0={a0}"),
-            ProtocolSpec::ItaiRodeh => writeln!(out, "protocol itai-rodeh"),
-            ProtocolSpec::ChangRoberts => writeln!(out, "protocol chang-roberts"),
-            ProtocolSpec::Peterson => writeln!(out, "protocol peterson"),
-            ProtocolSpec::Benor => writeln!(out, "protocol benor"),
-            ProtocolSpec::Brb => writeln!(out, "protocol brb"),
-            ProtocolSpec::Antientropy { key_space } => {
+        let _ = match &self.workload {
+            Workload::Election(p) | Workload::Classified(p) | Workload::Adversary(p) => match p {
+                ElectionProtocol::AbeCalibrated { a } => {
+                    writeln!(out, "protocol abe-calibrated a={a}")
+                }
+                ElectionProtocol::Abe { a0 } => writeln!(out, "protocol abe a0={a0}"),
+                ElectionProtocol::ItaiRodeh => writeln!(out, "protocol itai-rodeh"),
+                ElectionProtocol::ChangRoberts => writeln!(out, "protocol chang-roberts"),
+                ElectionProtocol::Peterson => writeln!(out, "protocol peterson"),
+            },
+            Workload::Benor => writeln!(out, "protocol benor"),
+            Workload::Brb => writeln!(out, "protocol brb"),
+            Workload::Antientropy { key_space } => {
                 writeln!(out, "protocol antientropy key-space={key_space}")
             }
         };
@@ -528,11 +527,7 @@ impl Scenario {
             let _ = writeln!(out, "divergence {}", bind_str(d, "divergence"));
         }
         for axis in &self.axes {
-            let rendered: Vec<String> = match &axis.values {
-                AxisValues::U32(v) => v.iter().map(|x| x.to_string()).collect(),
-                AxisValues::F64(v) => v.iter().map(|x| x.to_string()).collect(),
-                AxisValues::Str(v) => v.clone(),
-            };
+            let rendered = axis.values.texts();
             if rendered.is_empty() {
                 let _ = writeln!(out, "axis {}", axis.name);
             } else {
@@ -572,7 +567,7 @@ impl Scenario {
                 filter.axis, filter.value, filter.only_axis, filter.only_value
             );
         }
-        let _ = writeln!(out, "record {}", self.record.as_str());
+        let _ = writeln!(out, "record {}", self.workload.record());
         let _ = writeln!(out, "expect {}", self.expect.as_str());
         out
     }
@@ -669,12 +664,11 @@ expect mixed
     #[test]
     fn parses_sync_structure() {
         let s = parse(E21_STYLE).unwrap();
-        assert_eq!(s.protocol, ProtocolSpec::Antientropy { key_space: 256 });
-        assert!(s.protocol.is_sync());
+        assert_eq!(s.workload, Workload::Antientropy { key_space: 256 });
+        assert_eq!(s.workload.record(), "sync");
         assert_eq!(s.delay, DelaySpec::Axis { mean: 1.0 });
         assert_eq!(s.topology, TopologySpec::Complete);
         assert_eq!(s.divergence, Some(Bind::Axis));
-        assert_eq!(s.record, RecordMode::Sync);
         assert_eq!(s.expect, Expectation::Class(OutcomeClass::Decided));
         // A fixed divergence parses to a fixed bind.
         let fixed =
@@ -689,15 +683,41 @@ expect mixed
     #[test]
     fn parses_consensus_structure() {
         let s = parse(E19_STYLE).unwrap();
-        assert_eq!(s.protocol, ProtocolSpec::Benor);
+        assert_eq!(s.workload, Workload::Benor);
         assert_eq!(s.topology, TopologySpec::Complete);
-        assert_eq!(s.record, RecordMode::Consensus);
+        assert_eq!(s.workload.record(), "consensus");
         assert_eq!(s.faulty, None);
         assert_eq!(s.expect, Expectation::Class(OutcomeClass::Decided));
         let s = parse(BRB_STYLE).unwrap();
-        assert_eq!(s.protocol, ProtocolSpec::Brb);
+        assert_eq!(s.workload, Workload::Brb);
         assert_eq!(s.faulty, Some(2));
         assert_eq!(s.expect, Expectation::Mixed);
+    }
+
+    #[test]
+    fn every_protocol_record_pair_is_a_workload_or_names_the_record_field() {
+        let protocols = "abe-calibrated a=1,abe a0=0.5,itai-rodeh,chang-roberts,peterson,\
+                         benor,brb,antientropy key-space=8";
+        let mut legal = 0;
+        for protocol in protocols.split(',') {
+            for record in RECORD_MODES {
+                let text = format!(
+                    "scenario p\nprotocol {protocol}\ndelay exp mean=1\ntopology complete\n\
+                     n 4\nseeds 1\nrecord {record}\nexpect mixed\n"
+                );
+                match parse(&text) {
+                    Ok(s) => {
+                        legal += 1;
+                        assert_eq!(s.workload.record(), record);
+                        assert_eq!(s.print(), text);
+                    }
+                    Err(e) => assert_eq!(e.field_name(), Some("record"), "{protocol} / {record}"),
+                }
+            }
+        }
+        // 5 election protocols x 3 election modes, benor and brb with
+        // `consensus`, antientropy with `sync`; the other 22 are refused.
+        assert_eq!(legal, 18);
     }
 
     #[test]
@@ -715,7 +735,10 @@ expect mixed
         assert_eq!(fault.events, Bind::Axis);
         assert_eq!(fault.horizon, 32.0);
         assert_eq!(s.expect, Expectation::Mixed);
-        assert_eq!(s.record, RecordMode::Classified);
+        assert_eq!(
+            s.workload,
+            Workload::Classified(ElectionProtocol::AbeCalibrated { a: 1.0 })
+        );
     }
 
     #[test]
@@ -725,7 +748,7 @@ expect mixed
                     record election\nexpect completed\n";
         let s = parse(text).unwrap();
         assert_eq!(s.name, "c");
-        assert_eq!(s.protocol, ProtocolSpec::Peterson);
+        assert_eq!(s.workload, Workload::Election(ElectionProtocol::Peterson));
         assert_eq!(s.expect, Expectation::Class(OutcomeClass::Completed));
     }
 

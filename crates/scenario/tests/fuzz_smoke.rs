@@ -11,6 +11,10 @@
 //!    with the scenario's declared `expect` line (wrong leaders are
 //!    violations everywhere; stalls only where `expect mixed`).
 //!
+//! The class the oracles read is the run's own, carried in an unrendered
+//! slot; every cell's slot must name the class its rendered indicator
+//! metrics name, here and in every committed `scenarios/*.abes` file.
+//!
 //! Every scenario is accounted for: compile failures and run failures
 //! are test failures, not silent skips, and `cells_checked` must equal
 //! the sweep's actual cell count so no cell can fall out of the audit.
@@ -19,7 +23,9 @@
 //! `cargo test -p abe-scenario --test fuzz_smoke`.
 
 use abe_scenario::campaign::{check_oracles, document};
-use abe_scenario::{compile, fuzz};
+use abe_scenario::model::OutcomeClass;
+use abe_scenario::{compile, fuzz, parse, Workload};
+use abe_sweep::{CellMetrics, SweepOutcome};
 
 /// Matches the `--fuzz-seed` default wired into CI.
 const SEED: u64 = 0xabe5_0000_2026_0808;
@@ -62,6 +68,8 @@ fn thirty_two_random_scenarios_satisfy_every_oracle() {
             continue;
         }
 
+        failures.extend(slot_disagreements(&scenario.workload, &single));
+
         // Oracles 2 and 3: budget audit + outcome-class consistency.
         let report = check_oracles(scenario, &single);
         assert_eq!(
@@ -80,6 +88,75 @@ fn thirty_two_random_scenarios_satisfy_every_oracle() {
         failures.len(),
         failures.join("\n  ")
     );
+}
+
+/// Whether a cell's class slot names the class its rendered indicators
+/// name: `leaders` for the election and adversary sets, the set
+/// indicator for the classified and consensus sets, `converged` and its
+/// `residual_divergence` witness for the sync set.
+fn slot_agrees(workload: &Workload, m: &CellMetrics) -> bool {
+    use OutcomeClass::*;
+    let Some(class) = m.get_class() else {
+        return false;
+    };
+    let indicators = |set: &[(&str, OutcomeClass)]| {
+        set.iter()
+            .all(|&(name, c)| m.get(name) == Some(f64::from(c == class)))
+    };
+    match workload {
+        Workload::Election(_) | Workload::Adversary(_) => match (class, m.get("leaders")) {
+            (Completed, Some(l)) => l == 1.0,
+            (Stalled, Some(l)) => l == 0.0,
+            (WrongLeader, Some(l)) => l >= 2.0,
+            _ => false,
+        },
+        Workload::Classified(_) => indicators(&[
+            ("completed", Completed),
+            ("stalled", Stalled),
+            ("wrong_leader", WrongLeader),
+        ]),
+        Workload::Benor | Workload::Brb => indicators(&[
+            ("decided", Decided),
+            ("stalled", Stalled),
+            ("agreement_violation", AgreementViolation),
+            ("validity_violation", ValidityViolation),
+        ]),
+        Workload::Antientropy { .. } => {
+            let witness = m.get("residual_divergence");
+            indicators(&[("converged", Decided)])
+                && witness.is_some_and(|r| (r == 0.0) == (class == Decided))
+        }
+    }
+}
+
+/// One line per cell whose class slot disagrees with its indicators.
+fn slot_disagreements(workload: &Workload, outcome: &SweepOutcome) -> Vec<String> {
+    outcome
+        .cells
+        .iter()
+        .filter(|c| !slot_agrees(workload, &c.metrics))
+        .map(|c| format!("{}: class slot {:?}", c.cell.label(), c.metrics.get_class()))
+        .collect()
+}
+
+#[test]
+fn committed_scenarios_record_the_class_their_indicators_name() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "abes"))
+        .collect();
+    assert_eq!(files.len(), 5, "{files:?}");
+    let mut failures = Vec::new();
+    for file in &files {
+        let scenario = parse(&std::fs::read_to_string(file).unwrap()).unwrap();
+        let outcome = compile(&scenario).unwrap().run(2).unwrap();
+        for line in slot_disagreements(&scenario.workload, &outcome) {
+            failures.push(format!("{}: {line}", scenario.name));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The corpus itself is a pure function of (count, seed): re-deriving

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 
 use abe_scenario::model::{
-    AdversarySpec, AxisValues, Bind, DelaySpec, ProtocolSpec, ScenarioError,
+    AdversarySpec, AxisValues, Bind, DelaySpec, ElectionProtocol, ScenarioError, Workload,
 };
 use abe_scenario::{compile, fuzz, parse};
 
@@ -61,8 +61,21 @@ proptest! {
         // shape <= 1, burst-p outside (0, 1], non-positive budgets.
         let value = raw;
         match knob {
-            0 => scenario.protocol = ProtocolSpec::AbeCalibrated { a: value },
-            1 => scenario.protocol = ProtocolSpec::Abe { a0: value },
+            0 | 1 => {
+                // Swap the election protocol; a consensus or sync
+                // scenario becomes a plain election on the complete graph.
+                let protocol = if knob == 0 {
+                    ElectionProtocol::AbeCalibrated { a: value }
+                } else {
+                    ElectionProtocol::Abe { a0: value }
+                };
+                match &mut scenario.workload {
+                    Workload::Election(p) | Workload::Classified(p) | Workload::Adversary(p) => {
+                        *p = protocol;
+                    }
+                    other => *other = Workload::Election(protocol),
+                }
+            }
             2 => scenario.delay = DelaySpec::Exponential { mean: value },
             3 => scenario.delay = DelaySpec::Pareto { shape: value, mean: 1.0 },
             4 => {

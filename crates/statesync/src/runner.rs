@@ -331,9 +331,10 @@ impl SyncOutcome {
 
     /// Condenses the outcome into the per-run telemetry record.
     pub fn sync_report(&self) -> SyncReport {
+        let residual_divergence = self.residual_divergence();
         SyncReport {
-            converged: self.converged(),
-            residual_divergence: self.residual_divergence(),
+            converged: residual_divergence == 0,
+            residual_divergence,
             rounds: self.rounds.iter().copied().max().unwrap_or(0),
             wire_bytes: self.report.payload_bytes,
             digest_msgs: self.report.counter("sync_digest_msgs"),

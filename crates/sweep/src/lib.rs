@@ -50,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use abe_consensus::{BrbOutcome, ConsensusOutcome};
-use abe_core::{NetworkReport, Recording};
+use abe_core::{NetworkReport, OutcomeClass, Recording};
 use abe_election::ElectionOutcome;
 use abe_sim::SeedStream;
 use abe_statesync::SyncOutcome;
@@ -454,6 +454,9 @@ pub struct CellMetrics {
     /// recorded telemetry. `None` keeps the metric block byte-identical
     /// to telemetry-free builds.
     hist: Option<String>,
+    /// The outcome class the run's own outcome reported, for the outcome
+    /// oracles. Never rendered.
+    class: Option<OutcomeClass>,
 }
 
 impl CellMetrics {
@@ -504,6 +507,13 @@ impl CellMetrics {
             .counter("fault_storm_deliveries", f.storm_deliveries)
     }
 
+    /// Sets the cell's outcome class (read back by
+    /// [`get_class`](Self::get_class), never rendered).
+    pub fn class(mut self, class: OutcomeClass) -> Self {
+        self.class = Some(class);
+        self
+    }
+
     /// Records the scheduling-adversary auditor telemetry of a
     /// [`NetworkReport`]: intercepted sends, clamped proposals, the max
     /// per-edge empirical delay mean, and bound violations (always 0 by
@@ -520,7 +530,8 @@ impl CellMetrics {
     }
 
     /// Records the standard metrics of one election run (messages, virtual
-    /// time, ticks, leader count) plus the report telemetry.
+    /// time, ticks, leader count), the report telemetry and the run's
+    /// class.
     ///
     /// # Panics
     ///
@@ -531,20 +542,28 @@ impl CellMetrics {
             outcome.terminated,
             "election run did not terminate within its event budget"
         );
-        self.metric("messages", outcome.messages as f64)
+        self.with_election_unchecked(outcome)
+    }
+
+    /// [`with_election`](Self::with_election) without its termination
+    /// assert: a stalled run records `leaders = 0` and class `stalled`
+    /// for the outcome oracles to judge.
+    pub fn with_election_unchecked(self, outcome: &ElectionOutcome) -> Self {
+        self.class(outcome.class())
+            .metric("messages", outcome.messages as f64)
             .metric("time", outcome.time)
             .metric("ticks", outcome.ticks as f64)
             .metric("leaders", outcome.leaders as f64)
             .with_report(&outcome.report)
     }
 
-    /// Records the four outcome-class indicator metrics of a consensus
-    /// run (`decided`/`stalled`/`agreement_violation`/`validity_violation`,
+    /// Records a consensus run's class and its four indicator metrics
+    /// (`decided`/`stalled`/`agreement_violation`/`validity_violation`,
     /// exactly one set to 1) so group means read as class rates.
-    fn with_consensus_class(self, class: abe_core::fault::OutcomeClass) -> Self {
-        use abe_core::fault::OutcomeClass;
+    fn with_consensus_class(self, class: OutcomeClass) -> Self {
         let ind = |c: OutcomeClass| if class == c { 1.0 } else { 0.0 };
-        self.metric("decided", ind(OutcomeClass::Decided))
+        self.class(class)
+            .metric("decided", ind(OutcomeClass::Decided))
             .metric("stalled", ind(OutcomeClass::Stalled))
             .metric("agreement_violation", ind(OutcomeClass::AgreementViolation))
             .metric("validity_violation", ind(OutcomeClass::ValidityViolation))
@@ -592,7 +611,8 @@ impl CellMetrics {
     /// the `converged` rate), not a panic.
     pub fn with_sync(self, outcome: &SyncOutcome) -> Self {
         let r = outcome.sync_report();
-        self.metric("converged", if r.converged { 1.0 } else { 0.0 })
+        self.class(outcome.class())
+            .metric("converged", if r.converged { 1.0 } else { 0.0 })
             .metric("residual_divergence", r.residual_divergence as f64)
             .metric("rounds", r.rounds as f64)
             .metric("wire_bytes", r.wire_bytes as f64)
@@ -626,6 +646,11 @@ impl CellMetrics {
     /// Reads one counter back.
     pub fn get_counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
+    }
+
+    /// Reads the outcome class back.
+    pub fn get_class(&self) -> Option<OutcomeClass> {
+        self.class
     }
 }
 

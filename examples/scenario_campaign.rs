@@ -5,8 +5,9 @@
 //! and the expected outcome class — in a compact text form. This example
 //! walks the whole path by hand: parse `scenarios/e14_crash_churn.abes`,
 //! compile it down to a sweep over the deterministic engine, run it, and
-//! print every grid cell's classified outcome next to the scenario's
-//! declared expectation. The final line reports the standing oracles
+//! print every grid cell's outcome class — the one its run reported,
+//! which the campaign oracles read — next to the scenario's declared
+//! expectation. The final line reports the standing oracles
 //! (outcome class, adversary budget audit) over the run.
 //!
 //! The same corpus is what `abe-experiments campaign` diffs against the
@@ -41,32 +42,19 @@ fn main() -> ExitCode {
     println!("scenario {}", scenario.name);
     println!(
         "  record {}   expect {}   {} cells\n",
-        scenario.record.as_str(),
+        scenario.workload.record(),
         scenario.expect.as_str(),
         compiled.spec().expand().len(),
     );
 
     let outcome = compiled.run(THREADS).expect("sweep runs");
 
-    // Classify each cell from its recorded metrics, exactly as the
-    // campaign oracles do: `classified` mode records indicator metrics,
-    // election/adversary modes record a `leaders` count.
     println!("  {:<40} outcome", "cell");
     for result in &outcome.cells {
-        let class = if result.metrics.get("completed") == Some(1.0) {
-            "completed"
-        } else if result.metrics.get("stalled") == Some(1.0) {
-            "stalled"
-        } else if result.metrics.get("wrong_leader") == Some(1.0) {
-            "wrong-leader"
-        } else {
-            match result.metrics.get("leaders") {
-                Some(l) if (l - 1.0).abs() < f64::EPSILON => "completed",
-                Some(l) if l.abs() < f64::EPSILON => "stalled",
-                Some(_) => "wrong-leader",
-                None => "unclassified",
-            }
-        };
+        let class = result
+            .metrics
+            .get_class()
+            .map_or("unclassified", |c| c.as_str());
         println!("  {:<40} {class}", result.cell.label());
     }
 
