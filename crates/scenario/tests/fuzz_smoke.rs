@@ -22,6 +22,8 @@
 //! The seed is fixed so CI failures reproduce locally with
 //! `cargo test -p abe-scenario --test fuzz_smoke`.
 
+use std::collections::BTreeSet;
+
 use abe_scenario::campaign::{check_oracles, document};
 use abe_scenario::model::OutcomeClass;
 use abe_scenario::{compile, fuzz, parse, Workload};
@@ -42,7 +44,7 @@ fn thirty_two_random_scenarios_satisfy_every_oracle() {
         let compiled = match compile(scenario) {
             Ok(c) => c,
             Err(e) => {
-                failures.push(format!("{name}: compile failed: {e}"));
+                failures.push((name.clone(), format!("compile failed: {e}")));
                 continue;
             }
         };
@@ -51,24 +53,29 @@ fn thirty_two_random_scenarios_satisfy_every_oracle() {
         let single = match compiled.run(1) {
             Ok(o) => o,
             Err(e) => {
-                failures.push(format!("{name}: run(1) failed: {e}"));
+                failures.push((name.clone(), format!("run(1) failed: {e}")));
                 continue;
             }
         };
         let multi = match compiled.run(4) {
             Ok(o) => o,
             Err(e) => {
-                failures.push(format!("{name}: run(4) failed: {e}"));
+                failures.push((name.clone(), format!("run(4) failed: {e}")));
                 continue;
             }
         };
         let doc = document(scenario, &single);
         if doc != document(scenario, &multi) {
-            failures.push(format!("{name}: document differs between 1 and 4 workers"));
+            failures.push((
+                name.clone(),
+                "document differs between 1 and 4 workers".to_string(),
+            ));
             continue;
         }
 
-        failures.extend(slot_disagreements(&scenario.workload, &single));
+        for line in slot_disagreements(&scenario.workload, &single) {
+            failures.push((name.clone(), line));
+        }
 
         // Oracles 2 and 3: budget audit + outcome-class consistency.
         let report = check_oracles(scenario, &single);
@@ -78,15 +85,22 @@ fn thirty_two_random_scenarios_satisfy_every_oracle() {
             "{name}: oracle pass skipped cells"
         );
         for violation in &report.violations {
-            failures.push(format!("{name}: {violation}"));
+            failures.push((name.clone(), violation.to_string()));
         }
     }
 
+    // One scenario can fail on several lines (one per violating cell):
+    // count scenarios, list every line.
+    let failed: BTreeSet<&str> = failures.iter().map(|(name, _)| name.as_str()).collect();
+    let lines: Vec<String> = failures
+        .iter()
+        .map(|(name, line)| format!("{name}: {line}"))
+        .collect();
     assert!(
         failures.is_empty(),
         "{} of {COUNT} fuzz scenarios failed:\n  {}",
-        failures.len(),
-        failures.join("\n  ")
+        failed.len(),
+        lines.join("\n  ")
     );
 }
 

@@ -33,13 +33,14 @@
 //! # The top-is-live invariant
 //!
 //! Every mutating operation (`schedule`, `cancel`, `pop`) leaves the queue
-//! in a state where the earliest **live** event is immediately readable
-//! without further cleanup. That is what lets
+//! in a state where the earliest **live** event is readable without
+//! further cleanup. That is what lets
 //! [`peek_time`](EventQueue::peek_time) take `&self` — the run loop peeks
 //! before every pop, so the peek must never have to skip cancelled
 //! entries. The heap queue maintains it by eagerly skimming tombstones off
-//! the heap top; the calendar queue maintains the stronger *front-holds-
-//! the-minimum* invariant described on [`EventQueue`].
+//! the heap top; the calendar queue maintains the *front-holds-the-
+//! minimum* invariant described on [`EventQueue`], and keeps its buckets
+//! and its far-heap top live for the moments the front is empty.
 
 mod heap;
 
@@ -88,8 +89,10 @@ pub struct QueueStats {
     /// (and different shardings of the same run) skim on different
     /// schedules, so this is telemetry, not part of the logical state.
     pub front_dead: u64,
-    /// Cancelled entries skimmed off the far-future heap. Structure-
-    /// dependent, like [`front_dead`](Self::front_dead).
+    /// Cancelled entries discarded from the far-future heap: skimmed off
+    /// its top, or removed in one pass when they came to outnumber its
+    /// live entries. Structure-dependent, like
+    /// [`front_dead`](Self::front_dead).
     pub far_dead: u64,
 }
 
@@ -167,10 +170,11 @@ enum Loc {
     /// In the front (the sorted dispatch stack or the overlay heap);
     /// removed lazily when it surfaces.
     Front,
-    /// In the far-future heap; removed lazily at window refill.
+    /// In the far-future heap; migrated into a bucket at window refill.
     Far,
     /// Cancelled while in `Front`/`Far`; its container entry is still
-    /// floating and will be discarded (and the slot freed) on surfacing.
+    /// floating and will be discarded (and the slot freed) on surfacing or
+    /// by a far-heap compaction.
     Dead,
     /// Free-listed; the slot holds no event.
     Vacant,
@@ -235,9 +239,9 @@ impl Ord for TierEntry {
 /// partitioned into three regions by time:
 ///
 /// 1. **front** — everything earlier than the *front edge* `front_hi`:
-///    a dispatch stack (one calendar bucket, sorted once when it became
-///    current; popped from the end) plus a small *overlay* min-heap for
-///    events scheduled into the already-sorted region;
+///    a dispatch stack (one calendar bucket, sorted once when a pop or a
+///    cancel promoted it; popped from the end) plus a small *overlay*
+///    min-heap for events scheduled into the already-sorted region;
 /// 2. **calendar buckets** — a ring of 1024 (`BUCKETS`) unsorted buckets, each
 ///    `width` seconds wide, covering the window from the front edge to
 ///    `BUCKETS × width` seconds out;
@@ -246,12 +250,22 @@ impl Ord for TierEntry {
 ///
 /// # Invariants
 ///
-/// * *front holds the minimum*: whenever the queue is non-empty the
-///   earliest live event sits at the dispatch-stack end or the overlay
-///   top, and both of those tops are live (never cancelled). This is the
-///   calendar-queue form of the module-level top-is-live invariant and is
-///   re-established by every mutating operation, which is what lets
+/// * *front holds the minimum whenever it is non-empty*: the earliest
+///   live event then sits at the dispatch-stack end or the overlay top,
+///   and both of those tops are live (never cancelled). Scheduling never
+///   promotes a bucket — a pop (or a cancel) that finds the front empty
+///   does — so after events are scheduled into an empty front the
+///   minimum waits in the earliest occupied bucket or, with no bucket
+///   occupied, on the far-heap top. Both are live too: buckets hold only
+///   live events, and every far cancellation skims the top or compacts
+///   the heap. This is the calendar-queue form of the module-level
+///   top-is-live invariant, and it is what lets
 ///   [`peek_time`](Self::peek_time) take `&self`.
+/// * *the far heap is mostly live*: after every cancellation it holds no
+///   more dead entries than live ones. A cancellation that would break
+///   this removes every dead entry in one pass and re-heapifies, so
+///   cancelling far events costs amortised `O(1)` instead of an
+///   `O(log n)` pop per dead entry.
 /// * *regions are time-ordered*: every front event is earlier than
 ///   `front_hi`; every bucketed or far event is at or after it. A bucket
 ///   therefore only ever contains live events (cancellation removes from
@@ -279,9 +293,9 @@ impl Ord for TierEntry {
 /// | operation | cost |
 /// |---|---|
 /// | [`schedule`](Self::schedule) | `O(1)` into a bucket; `O(log n)` into overlay/far |
-/// | [`cancel`](Self::cancel) | `O(1)` from a bucket; `O(1)` mark + amortised surface cost otherwise |
-/// | [`pop`](Self::pop) | `O(1)` from the stack, amortised `O(log b)` for sorting buckets of size `b` |
-/// | [`peek_time`](Self::peek_time) | `O(1)` |
+/// | [`cancel`](Self::cancel) | `O(1)` from a bucket; `O(1)` mark + amortised surface cost from the front; amortised `O(1)` from the far heap (one-pass compaction) |
+/// | [`pop`](Self::pop) | `O(1)` from the stack, amortised `O(log b)` for sorting buckets of size `b` (`O(1)` when a bucket was filled in key order) |
+/// | [`peek_time`](Self::peek_time) | `O(1)`; `O(b)` over the earliest bucket while the front is empty |
 ///
 /// # Examples
 ///
@@ -332,7 +346,8 @@ pub struct EventQueue<E> {
     far: BinaryHeap<TierEntry>,
     /// Live events in `far`.
     far_live: usize,
-    /// Cancelled entries still floating in `far`.
+    /// Cancelled entries still floating in `far`; at most `far_live`
+    /// after every cancellation.
     far_dead: usize,
     width: f64,
     inv_width: f64,
@@ -465,6 +480,27 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Removes every cancelled entry from the far heap in one linear pass
+    /// (freeing their slots) and re-heapifies what is left in place.
+    /// Run once dead entries outnumber live ones, so each pass costs at
+    /// most twice the entries it removes: amortised `O(1)` per cancel.
+    fn compact_far(&mut self) {
+        let mut entries = std::mem::take(&mut self.far).into_vec();
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        entries.retain(|entry| {
+            let slot = &mut slots[entry.slot as usize];
+            if slot.loc != Loc::Dead {
+                return true;
+            }
+            slot.loc = Loc::Vacant;
+            free.push(entry.slot);
+            false
+        });
+        self.far = BinaryHeap::from(entries);
+        self.stats.far_dead += self.far_dead as u64;
+        self.far_dead = 0;
+    }
+
     /// Re-establishes the front-holds-the-minimum invariant after a
     /// mutation: skims dead entries off both front tops and, if the front
     /// drained, promotes the next calendar bucket.
@@ -557,6 +593,7 @@ impl<E> EventQueue<E> {
             // the overlay, same-time-later-sequence events stay behind it.
             let entry = self.far.pop().expect("far tier is non-empty");
             self.far_live -= 1;
+            self.skim_far();
             self.slots[entry.slot as usize].loc = Loc::Front;
             self.front_hi = entry.time.as_secs();
             self.dispatch.push(entry);
@@ -639,34 +676,29 @@ impl<E> EventQueue<E> {
                 slot: slot_id,
             });
             self.front_live += 1;
-        } else {
-            if t < self.window_hi {
-                let tick = self
-                    .tick_of(t)
-                    .clamp(self.cur_tick, self.cur_tick + BUCKETS as u64 - 1);
-                self.place_in_bucket(
-                    TierEntry {
-                        time,
-                        key,
-                        seq,
-                        slot: slot_id,
-                    },
-                    tick,
-                );
-                self.bucket_live += 1;
-            } else {
-                self.slots[slot_id as usize].loc = Loc::Far;
-                self.far.push(TierEntry {
+        } else if t < self.window_hi {
+            let tick = self
+                .tick_of(t)
+                .clamp(self.cur_tick, self.cur_tick + BUCKETS as u64 - 1);
+            self.place_in_bucket(
+                TierEntry {
                     time,
                     key,
                     seq,
                     slot: slot_id,
-                });
-                self.far_live += 1;
-            }
-            if self.front_live == 0 {
-                self.promote();
-            }
+                },
+                tick,
+            );
+            self.bucket_live += 1;
+        } else {
+            self.slots[slot_id as usize].loc = Loc::Far;
+            self.far.push(TierEntry {
+                time,
+                key,
+                seq,
+                slot: slot_id,
+            });
+            self.far_live += 1;
         }
         self.live += 1;
         self.stats.scheduled += 1;
@@ -679,7 +711,9 @@ impl<E> EventQueue<E> {
     /// fired or was already cancelled. `O(1)`: the token's slot index leads
     /// straight to the event — a bucketed event is swap-removed on the
     /// spot, a front/far event is marked dead and discarded when its heap
-    /// entry surfaces (amortised against that later operation).
+    /// entry surfaces (amortised against that later operation) or, for the
+    /// far heap, in one compaction pass once dead entries outnumber live
+    /// ones (amortised against the cancellations that made them).
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let Some(slot) = self.slots.get_mut(token.slot as usize) else {
             return false;
@@ -718,7 +752,11 @@ impl<E> EventQueue<E> {
                 slot.event = None;
                 self.far_live -= 1;
                 self.far_dead += 1;
-                self.skim_far();
+                if self.far_dead > self.far_live {
+                    self.compact_far();
+                } else {
+                    self.skim_far();
+                }
             }
         }
         self.live -= 1;
@@ -730,7 +768,8 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest live event.
     ///
     /// `O(1)` plus the amortised cost of keeping the front populated
-    /// (bucket sorts and far-tier migration).
+    /// (bucket sorts and far-tier migration). Scheduling never fills the
+    /// front; the pop that finds it empty promotes the earliest bucket.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_keyed().map(|(time, _key, event)| (time, event))
     }
@@ -740,6 +779,11 @@ impl<E> EventQueue<E> {
     /// this key, which encodes event identity and therefore matches
     /// between sequential and sharded executions.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
+        // Events scheduled into an empty front wait in their buckets (or
+        // the far heap) until now: one sort serves them all.
+        if self.front_live == 0 && self.live > 0 {
+            self.promote();
+        }
         // Front tops are live and the front holds the global minimum, so
         // the pop is a two-way comparison on inline keys (no arena reads).
         let take_overlay = match (self.dispatch.last(), self.overlay.peek()) {
@@ -764,32 +808,37 @@ impl<E> EventQueue<E> {
         Some((time, entry.key, event))
     }
 
-    /// Time of the earliest live event without removing it. `O(1)`.
-    ///
-    /// Takes `&self`: every mutating operation re-establishes the
-    /// front-holds-the-minimum invariant, so both front tops are live and
-    /// the answer is a two-way comparison.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let dispatch = self.dispatch.last().map(|e| e.time);
-        let overlay = self.overlay.peek().map(|e| e.time);
-        match (dispatch, overlay) {
-            (Some(d), Some(o)) => Some(d.min(o)),
-            (d, o) => d.or(o),
+    /// The earliest live entry, which is the *greatest* under
+    /// `TierEntry`'s reversed order. With a non-empty front it is one of
+    /// the two live front tops; before the next pop has promoted a bucket
+    /// it is the minimum of the earliest occupied bucket (one linear pass)
+    /// or, with no bucket occupied, the far top.
+    fn peek_entry(&self) -> Option<&TierEntry> {
+        if self.front_live > 0 {
+            self.dispatch.last().max(self.overlay.peek())
+        } else if self.bucket_live > 0 {
+            let idx = (self.next_occupied_tick() % BUCKETS as u64) as usize;
+            self.buckets[idx].iter().max()
+        } else {
+            self.far.peek()
         }
     }
 
-    /// `(time, key)` of the earliest live event without removing it.
-    /// `O(1)`, by the same front-holds-the-minimum invariant as
-    /// [`peek_time`](Self::peek_time). The sharded kernel uses this to
-    /// pick the globally earliest event across per-shard queues.
+    /// Time of the earliest live event without removing it.
+    ///
+    /// Takes `&self`: the front holds the minimum whenever it is
+    /// non-empty and its tops are live, so this is usually a two-way
+    /// comparison; between a drained front and the next pop it is one
+    /// pass over the earliest occupied bucket.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.peek_entry().map(|e| e.time)
+    }
+
+    /// `(time, key)` of the earliest live event without removing it, found
+    /// like [`peek_time`](Self::peek_time). The sharded kernel uses this
+    /// to pick the globally earliest event across per-shard queues.
     pub fn peek_time_key(&self) -> Option<(SimTime, u64)> {
-        let dispatch = self.dispatch.last().map(|e| (e.time, e.key, e.seq));
-        let overlay = self.overlay.peek().map(|e| (e.time, e.key, e.seq));
-        let min = match (dispatch, overlay) {
-            (Some(d), Some(o)) => Some(d.min(o)),
-            (d, o) => d.or(o),
-        };
-        min.map(|(time, key, _)| (time, key))
+        self.peek_entry().map(|e| (e.time, e.key))
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -934,10 +983,14 @@ mod tests {
         let toks: Vec<_> = (0..10)
             .map(|i| q.schedule(t(1.0 + 3.0 * i as f64), i))
             .collect();
-        // Cancel a front event (the current minimum) and a far one; both
-        // are lazy (marked dead, skimmed later) — bucket cancellations are
-        // immediate and never hit the skim counters.
-        assert!(q.cancel(toks[0]));
+        // The first pop promotes a bucket, so the next minimum now sits in
+        // the front. Cancel it and a far event; both are lazy (marked dead,
+        // skimmed later) — bucket cancellations are immediate and never hit
+        // the skim counters.
+        assert_eq!(q.pop(), Some((t(1.0), 0)));
+        assert!(matches!(q.slots[toks[1].slot as usize].loc, Loc::Front));
+        assert!(matches!(q.slots[toks[9].slot as usize].loc, Loc::Far));
+        assert!(q.cancel(toks[1]));
         assert!(q.cancel(toks[9]));
         // Drain; every cancelled entry must eventually be skimmed and
         // counted in exactly one of the dead counters.
@@ -946,6 +999,33 @@ mod tests {
         assert_eq!(stats.cancelled, 2);
         assert_eq!(stats.front_dead + stats.far_dead, 2);
         assert_eq!(stats.live(), 0);
+    }
+
+    #[test]
+    fn far_heap_never_holds_more_dead_than_live_entries() {
+        let mut q = EventQueue::new();
+        let mut rng = crate::SplitMix64::new(7);
+        // All past the 16 s window: every event starts in the far heap.
+        let mut toks: Vec<_> = (0..2000u64)
+            .map(|i| q.schedule(t(100.0 + (rng.next_u64() % 10_000) as f64), i))
+            .collect();
+        for i in (1..toks.len()).rev() {
+            toks.swap(i, rng.next_u64() as usize % (i + 1));
+        }
+        for (i, tok) in toks.iter().enumerate() {
+            if i % 7 == 0 {
+                q.pop();
+            }
+            q.cancel(*tok);
+            assert!(
+                q.far_dead <= q.far_live,
+                "{} dead vs {} live after cancel {i}",
+                q.far_dead,
+                q.far_live
+            );
+        }
+        assert!(q.is_empty());
+        assert!(q.far.is_empty());
     }
 
     #[test]
@@ -1196,6 +1276,20 @@ mod tests {
         assert_eq!(q.pop(), Some((t(1.0), 'a')));
         assert_eq!(q.pop(), Some((t(1e299), 'y')));
         assert_eq!(q.pop(), Some((t(1e300), 'z')));
+    }
+
+    #[test]
+    fn far_top_stays_live_after_direct_dispatch() {
+        // Times past the tick clamp are dispatched straight off the far
+        // heap; a cancelled entry beneath must not surface as its top.
+        let mut q = EventQueue::new();
+        q.schedule(t(1e300), 'a');
+        let x = q.schedule(t(2e300), 'x');
+        assert!(q.cancel(x));
+        assert_eq!(q.pop(), Some((t(1e300), 'a')));
+        q.schedule(t(5e300), 'c');
+        assert_eq!(q.peek_time(), Some(t(5e300)));
+        assert_eq!(q.pop(), Some((t(5e300), 'c')));
     }
 
     #[test]

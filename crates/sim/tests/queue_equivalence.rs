@@ -219,3 +219,137 @@ fn long_churn_run_is_equivalent() {
         }
     }
 }
+
+/// Asserts every observable the two queues share: peeks, length and the
+/// live counters.
+fn assert_same_view(calendar: &EventQueue<u64>, heap: &HeapQueue<u64>, step: &str) {
+    assert_eq!(
+        calendar.peek_time(),
+        heap.peek_time(),
+        "peek_time at {step}"
+    );
+    assert_eq!(
+        calendar.peek_time_key(),
+        heap.peek_time_key(),
+        "peek_time_key at {step}"
+    );
+    assert_eq!(calendar.len(), heap.len(), "len at {step}");
+    assert_eq!(
+        live_stats(calendar.stats()),
+        live_stats(heap.stats()),
+        "stats at {step}"
+    );
+}
+
+/// Fisher–Yates shuffle driven by `rng`.
+fn shuffle<T>(items: &mut [T], rng: &mut SplitMix64) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.next_u64() as usize % (i + 1));
+    }
+}
+
+/// The election's start-up shape: many same-time keyed events primed into
+/// an empty queue before the first pop (they all wait in one calendar
+/// bucket, which the first pop sorts), then drained while same-time and
+/// later events are scheduled, tokens are cancelled and the queue is
+/// peeked between every operation.
+#[test]
+fn same_time_keyed_priming_then_interleaved_drain_is_equivalent() {
+    const PRIMED: u64 = 1500;
+    for shuffled in [false, true] {
+        let mut rng = SplitMix64::new(if shuffled { 11 } else { 10 });
+        let mut keys: Vec<u64> = (0..PRIMED).map(|k| k * 4).collect();
+        if shuffled {
+            shuffle(&mut keys, &mut rng);
+        }
+        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
+        let mut calendar_tokens = Vec::new();
+        let mut heap_tokens = Vec::new();
+        let start = SimTime::from_secs(0.5);
+        for (i, &key) in keys.iter().enumerate() {
+            calendar_tokens.push(calendar.schedule_keyed(start, key, key));
+            heap_tokens.push(heap.schedule_keyed(start, key, key));
+            assert_same_view(&calendar, &heap, &format!("prime {i}"));
+        }
+        let mut next_key = 4 * PRIMED;
+        let mut step = 0;
+        while !heap.is_empty() {
+            step += 1;
+            let (a, b) = (calendar.pop_keyed(), heap.pop_keyed());
+            assert_eq!(a, b, "pop diverged at step {step} (shuffled: {shuffled})");
+            let (now, _, _) = a.expect("both queues were non-empty");
+            match rng.next_u64() % 4 {
+                // Same time, a key between the primed ones: lands before
+                // some still-pending primed events.
+                0 => {
+                    let key = (rng.next_u64() % (4 * PRIMED)) | 1;
+                    calendar_tokens.push(calendar.schedule_keyed(now, key, key));
+                    heap_tokens.push(heap.schedule_keyed(now, key, key));
+                }
+                // Later, in the calendar window or past it.
+                1 => {
+                    let delay = (rng.next_u64() % 4000) as f64 / 100.0;
+                    let time = SimTime::from_secs(now.as_secs() + delay);
+                    calendar_tokens.push(calendar.schedule_keyed(time, next_key, next_key));
+                    heap_tokens.push(heap.schedule_keyed(time, next_key, next_key));
+                    next_key += 1;
+                }
+                // Cancel any issued token: pending, popped or cancelled.
+                2 => {
+                    let k = rng.next_u64() as usize % calendar_tokens.len();
+                    assert_eq!(
+                        calendar.cancel(calendar_tokens[k]),
+                        heap.cancel(heap_tokens[k]),
+                        "cancel #{k} diverged at step {step}"
+                    );
+                }
+                _ => {}
+            }
+            assert_same_view(&calendar, &heap, &format!("drain step {step}"));
+        }
+        assert!(calendar.is_empty());
+        assert_eq!(calendar.pop_keyed(), None);
+    }
+}
+
+/// Events past the calendar window cancelled in random order, mixed with
+/// pops: cancelled entries come to outnumber live ones in the far heap
+/// again and again, so the one-pass compaction runs several times. Each
+/// run shows as one cancel that discards a large batch of dead entries at
+/// once (top-of-heap skims discard them a few at a time).
+#[test]
+fn random_far_cancellations_mixed_with_pops_are_equivalent() {
+    const FAR: u64 = 3000;
+    let mut rng = SplitMix64::new(0xFA2);
+    let mut calendar: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut tokens = Vec::new();
+    for i in 0..FAR {
+        let time = SimTime::from_secs(100.0 + (rng.next_u64() % 1_000_000) as f64 / 100.0);
+        tokens.push((calendar.schedule(time, i), heap.schedule(time, i)));
+        assert_same_view(&calendar, &heap, &format!("schedule {i}"));
+    }
+    shuffle(&mut tokens, &mut rng);
+    let mut batches = Vec::new();
+    for (i, (calendar_token, heap_token)) in tokens.into_iter().enumerate() {
+        if i % 5 == 0 {
+            assert_eq!(calendar.pop(), heap.pop(), "pop diverged at {i}");
+            assert_same_view(&calendar, &heap, &format!("pop {i}"));
+        }
+        let discarded = calendar.stats().far_dead;
+        assert_eq!(
+            calendar.cancel(calendar_token),
+            heap.cancel(heap_token),
+            "cancel diverged at {i}"
+        );
+        assert_same_view(&calendar, &heap, &format!("cancel {i}"));
+        let batch = calendar.stats().far_dead - discarded;
+        if batch >= 32 {
+            batches.push(batch);
+        }
+    }
+    assert!(batches.len() >= 3, "compaction batches: {batches:?}");
+    assert!(calendar.is_empty() && heap.is_empty());
+    assert_eq!(calendar.pop(), None);
+}

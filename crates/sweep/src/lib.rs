@@ -611,7 +611,13 @@ impl CellMetrics {
     /// the `converged` rate), not a panic.
     pub fn with_sync(self, outcome: &SyncOutcome) -> Self {
         let r = outcome.sync_report();
-        self.class(outcome.class())
+        // `SyncOutcome::class` would redo the report's divergence pass.
+        let class = if r.converged {
+            OutcomeClass::Decided
+        } else {
+            OutcomeClass::Stalled
+        };
+        self.class(class)
             .metric("converged", if r.converged { 1.0 } else { 0.0 })
             .metric("residual_divergence", r.residual_divergence as f64)
             .metric("rounds", r.rounds as f64)
