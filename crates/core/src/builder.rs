@@ -7,11 +7,12 @@
 //! experiment cannot silently hand an ABE algorithm a network stronger or
 //! weaker than claimed.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use abe_sim::SeedStream;
-use abe_telemetry::Recording;
+use abe_telemetry::{Recording, RunRecorder};
 
 use crate::adversary::AdversaryPlan;
 use crate::class::NetworkClass;
@@ -19,7 +20,7 @@ use crate::clock::ClockSpec;
 use crate::delay::{DelayModel, Deterministic, Exponential, SharedDelay};
 use crate::error::{BuildError, InvalidParamError};
 use crate::fault::{FaultPlan, FaultRuntime};
-use crate::net::Network;
+use crate::net::{ChannelState, CrossSends, Network, NodeSlot};
 use crate::protocol::Protocol;
 use crate::topology::Topology;
 
@@ -247,51 +248,58 @@ impl NetworkBuilder {
             .into());
         }
         let edge_count = self.topo.edge_count();
-        let edge_delays: Vec<SharedDelay> = match self.edge_delays {
-            Some(models) => {
-                if models.len() != edge_count {
-                    return Err(BuildError::EdgeDelayCount {
-                        supplied: models.len(),
-                        edges: edge_count,
-                    });
-                }
-                models
+        if let Some(models) = &self.edge_delays {
+            if models.len() != edge_count {
+                return Err(BuildError::EdgeDelayCount {
+                    supplied: models.len(),
+                    edges: edge_count,
+                });
             }
-            None => vec![Arc::clone(&self.delay); edge_count],
-        };
+        }
 
         if let Some(class) = &self.class {
-            for delay in &edge_delays {
-                class.validate(delay.as_ref(), &self.clocks, self.processing.as_ref())?;
+            let check = |delay: &SharedDelay| {
+                class.validate(delay.as_ref(), &self.clocks, self.processing.as_ref())
+            };
+            match &self.edge_delays {
+                Some(models) => models.iter().try_for_each(check)?,
+                // A shared model is validated once, when some edge uses it.
+                None if edge_count > 0 => check(&self.delay)?,
+                None => {}
             }
         }
 
         self.fault.validate(&self.topo)?;
 
-        let n = self.topo.node_count() as usize;
+        // Every stream is keyed by `(domain, node or edge id)`, so the
+        // draws do not depend on build order or on shard count.
         let seeds = SeedStream::new(self.seed);
-        let mut protos = Vec::with_capacity(n);
-        let mut clocks = Vec::with_capacity(n);
-        let mut node_rngs = Vec::with_capacity(n);
-        for i in 0..n {
-            protos.push(factory(i));
-            let mut clock_rng = seeds.stream("clock", i as u64);
-            clocks.push(self.clocks.instantiate(&mut clock_rng));
-            node_rngs.push(seeds.stream("node", i as u64));
-        }
-        let channel_rngs = (0..edge_count)
-            .map(|e| seeds.stream("channel", e as u64))
+        let nodes = (0..self.topo.node_count())
+            .map(|i| {
+                let clock = self
+                    .clocks
+                    .instantiate(&mut seeds.stream("clock", i.into()));
+                NodeSlot::new(factory(i as usize), clock, seeds.stream("node", i.into()))
+            })
             .collect();
         // Consuming processing models draw from one dedicated stream per
         // edge (keyed by edge id, so draws are shard-invariant);
         // non-consuming models (e.g. `Deterministic`) get only the scratch
         // stream, which they never read.
-        let proc_rngs = self.processing.consumes_rng().then(|| {
-            (0..edge_count)
-                .map(|e| seeds.stream("proc-edge", e as u64))
-                .collect()
-        });
-        let proc_rng = seeds.stream("processing", 0);
+        let consumes = self.processing.consumes_rng();
+        let channels = (0..edge_count as u64)
+            .map(|e| {
+                let delay = self
+                    .edge_delays
+                    .as_ref()
+                    .map_or(&self.delay, |m| &m[e as usize]);
+                ChannelState::new(
+                    Arc::clone(delay),
+                    seeds.stream("channel", e),
+                    consumes.then(|| Box::new(seeds.stream("proc-edge", e))),
+                )
+            })
+            .collect();
         let faults = FaultRuntime::compile(&self.fault, &self.topo, &seeds);
         // The adversary draws from its own dedicated child stream; stream
         // derivation is a pure hash, so an empty plan (compile → None)
@@ -300,24 +308,30 @@ impl NetworkBuilder {
             .adversary
             .compile(edge_count, seeds.stream("adversary", 0));
 
-        Ok(Network::assemble(
-            self.topo,
-            protos,
-            self.clocks,
-            clocks,
-            node_rngs,
-            edge_delays,
-            channel_rngs,
-            proc_rngs,
-            self.processing,
-            proc_rng,
-            self.fifo,
-            self.tick_interval,
-            self.record,
+        Ok(Network {
+            topo: Arc::new(self.topo),
+            nodes,
+            clocks: self.clocks,
+            channels,
+            processing: self.processing,
+            proc_rng: seeds.stream("processing", 0),
+            fifo: self.fifo,
+            tick_interval: self.tick_interval,
+            counters: BTreeMap::new(),
+            messages_sent: 0,
+            messages_delivered: 0,
+            ticks: 0,
+            payload_bytes: 0,
+            rec: self.record.map(|r| Box::new(RunRecorder::new(&r))),
             faults,
             adversary,
-            self.shards,
-        ))
+            shards: self.shards,
+            shard_lo: 0,
+            edge_ranks: None,
+            outbox: Vec::new(),
+            cross: CrossSends::new(Vec::new()),
+            timing: None,
+        })
     }
 }
 

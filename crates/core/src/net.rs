@@ -21,7 +21,7 @@ use abe_sim::{
     EventToken, QueueStats, RunLimits, RunOutcome, SimTime, Simulation, StepCtx, World,
     Xoshiro256PlusPlus,
 };
-use abe_telemetry::{Recording, RunRecorder, TraceEvent};
+use abe_telemetry::{RunRecorder, TraceEvent};
 
 use crate::adversary::{AdversaryRuntime, AdversaryStats};
 use crate::clock::{ClockSpec, LocalClock};
@@ -64,6 +64,19 @@ pub(crate) struct NodeSlot<P> {
     messages_received: u64,
 }
 
+impl<P> NodeSlot<P> {
+    pub(crate) fn new(proto: P, clock: LocalClock, rng: Xoshiro256PlusPlus) -> Self {
+        Self {
+            proto,
+            clock,
+            rng,
+            tick_token: None,
+            messages_sent: 0,
+            messages_received: 0,
+        }
+    }
+}
+
 #[derive(Clone)]
 pub(crate) struct ChannelState {
     pub(crate) delay: SharedDelay,
@@ -79,6 +92,20 @@ pub(crate) struct ChannelState {
 }
 
 impl ChannelState {
+    pub(crate) fn new(
+        delay: SharedDelay,
+        rng: Xoshiro256PlusPlus,
+        proc: Option<Box<Xoshiro256PlusPlus>>,
+    ) -> Self {
+        Self {
+            delay,
+            rng,
+            proc,
+            last_arrival: SimTime::ZERO,
+            sent: 0,
+        }
+    }
+
     /// The next `k` delays [`Network::transmit`] will draw on this
     /// channel, in seconds and in draw order. Peeked from a *clone* of the
     /// channel stream: the real stream, and with it every delay the run
@@ -421,78 +448,6 @@ enum Dispatch<M> {
 }
 
 impl<P: Protocol> Network<P> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        topo: Topology,
-        protos: Vec<P>,
-        clock_spec: ClockSpec,
-        clocks: Vec<LocalClock>,
-        node_rngs: Vec<Xoshiro256PlusPlus>,
-        edge_delays: Vec<SharedDelay>,
-        channel_rngs: Vec<Xoshiro256PlusPlus>,
-        proc_rngs: Option<Vec<Xoshiro256PlusPlus>>,
-        processing: SharedDelay,
-        proc_rng: Xoshiro256PlusPlus,
-        fifo: bool,
-        tick_interval: f64,
-        record: Option<Recording>,
-        faults: FaultRuntime,
-        adversary: Option<AdversaryRuntime>,
-        shards: u32,
-    ) -> Self {
-        debug_assert_eq!(protos.len(), topo.node_count() as usize);
-        debug_assert_eq!(edge_delays.len(), topo.edge_count());
-        let nodes = protos
-            .into_iter()
-            .zip(clocks)
-            .zip(node_rngs)
-            .map(|((proto, clock), rng)| NodeSlot {
-                proto,
-                clock,
-                rng,
-                tick_token: None,
-                messages_sent: 0,
-                messages_received: 0,
-            })
-            .collect();
-        let mut proc_rngs = proc_rngs.map(Vec::into_iter);
-        let channels = edge_delays
-            .into_iter()
-            .zip(channel_rngs)
-            .map(|(delay, rng)| ChannelState {
-                delay,
-                rng,
-                proc: proc_rngs.as_mut().and_then(|it| it.next()).map(Box::new),
-                last_arrival: SimTime::ZERO,
-                sent: 0,
-            })
-            .collect();
-        Self {
-            topo: Arc::new(topo),
-            nodes,
-            clocks: clock_spec,
-            channels,
-            processing,
-            proc_rng,
-            fifo,
-            tick_interval,
-            counters: BTreeMap::new(),
-            messages_sent: 0,
-            messages_delivered: 0,
-            ticks: 0,
-            payload_bytes: 0,
-            rec: record.map(|r| Box::new(RunRecorder::new(&r))),
-            faults,
-            adversary,
-            shards: shards.max(1),
-            shard_lo: 0,
-            edge_ranks: None,
-            outbox: Vec::new(),
-            cross: CrossSends::new(Vec::new()),
-            timing: None,
-        }
-    }
-
     /// Index of `node` in this (partition of a) network's `nodes` vector.
     #[inline]
     pub(crate) fn node_slot(&self, node: u32) -> usize {
@@ -951,23 +906,17 @@ impl<P: Protocol> World for Network<P> {
                     self.faults.note_dropped_crash();
                     return;
                 }
-                if self.rec.is_some() {
+                if let Some(r) = self.rec.as_deref_mut() {
                     let seq = step.key() & ((1 << KEY_SEQ_BITS) - 1);
-                    let payload = self
-                        .rec
-                        .as_deref()
-                        .is_some_and(RunRecorder::capture_payloads)
-                        .then(|| format!("{msg:?}").into_boxed_str());
-                    if let Some(r) = self.rec.as_deref_mut() {
-                        r.emit(TraceEvent::Deliver {
-                            edge,
-                            src: src.index() as u32,
-                            dst: dst.index() as u32,
-                            seq,
-                            size,
-                            payload,
-                        });
-                    }
+                    let payload = r.payload(&msg);
+                    r.emit(TraceEvent::Deliver {
+                        edge,
+                        src: src.index() as u32,
+                        dst: dst.index() as u32,
+                        seq,
+                        size,
+                        payload,
+                    });
                 }
                 let port = InPort(self.topo.in_port(eid));
                 self.messages_delivered += 1;
@@ -1035,6 +984,61 @@ mod layout_tests {
         assert_eq!(size_of::<LocalClock>(), 24);
         assert!(size_of::<ChannelState>() <= 72);
         assert!(size_of::<NodeSlot<[u64; 5]>>() <= 136);
+    }
+
+    /// The builder writes every node slot and channel from the stream
+    /// keyed by its node or edge id, and gives each channel the model
+    /// listed for its edge — on the branches a shared-delay ring never
+    /// takes: per-edge models, a consuming processing model and drifting
+    /// clocks.
+    #[test]
+    fn build_draws_every_slot_from_its_keyed_stream() {
+        use crate::builder::NetworkBuilder;
+        use crate::clock::DriftMode;
+        use crate::delay::{Exponential, Uniform};
+        use crate::protocol::Ctx;
+        use crate::Topology;
+        use abe_sim::SeedStream;
+
+        #[derive(Debug)]
+        struct Idle;
+        impl Protocol for Idle {
+            type Message = ();
+            fn on_message(&mut self, _from: InPort, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+        }
+
+        let seed = 42;
+        let topo = Topology::bidirectional_ring(5).unwrap();
+        let models: Vec<SharedDelay> = (0..topo.edge_count())
+            .map(|e| Arc::new(Uniform::new(0.5, 1.0 + e as f64).unwrap()) as SharedDelay)
+            .collect();
+        let spec = ClockSpec::new(0.5, 2.0, DriftMode::Wander).unwrap();
+        let net = NetworkBuilder::new(topo)
+            .edge_delays(models.clone())
+            .processing(Exponential::from_mean(0.1).unwrap())
+            .clocks(spec)
+            .seed(seed)
+            .build(|_| Idle)
+            .unwrap();
+
+        let seeds = SeedStream::new(seed);
+        assert_eq!(net.nodes.len(), 5);
+        for (i, slot) in net.nodes.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(slot.rng, seeds.stream("node", i));
+            assert_eq!(slot.clock, spec.instantiate(&mut seeds.stream("clock", i)));
+        }
+        assert_eq!(net.channels.len(), models.len());
+        for (e, (chan, model)) in net.channels.iter().zip(&models).enumerate() {
+            let e = e as u64;
+            assert!(
+                Arc::ptr_eq(&chan.delay, model),
+                "edge {e} holds its own model"
+            );
+            assert_eq!(chan.rng, seeds.stream("channel", e));
+            assert_eq!(chan.proc.as_deref(), Some(&seeds.stream("proc-edge", e)));
+        }
+        assert_eq!(net.proc_rng, seeds.stream("processing", 0));
     }
 }
 

@@ -147,7 +147,8 @@ impl Topology {
         if n == 0 {
             return Err(TopologyError::Empty);
         }
-        let mut edges = Vec::new();
+        let pairs = pairs.into_iter();
+        let mut edges = Vec::with_capacity(pairs.size_hint().0);
         for (src, dst) in pairs {
             for &endpoint in &[src, dst] {
                 if endpoint >= n {

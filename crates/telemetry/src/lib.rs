@@ -28,6 +28,7 @@
 #![deny(missing_docs)]
 
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 
 use abe_sim::SimTime;
 
@@ -135,6 +136,8 @@ pub struct RunRecorder {
     cur_time: SimTime,
     cur_key: u64,
     cur_sub: u32,
+    /// Formatting buffer for captured payloads, reused across records.
+    text: String,
 }
 
 impl RunRecorder {
@@ -149,6 +152,7 @@ impl RunRecorder {
             cur_time: SimTime::ZERO,
             cur_key: 0,
             cur_sub: 0,
+            text: String::new(),
         }
     }
 
@@ -165,6 +169,7 @@ impl RunRecorder {
             cur_time: SimTime::ZERO,
             cur_key: 0,
             cur_sub: 0,
+            text: String::new(),
         }
     }
 
@@ -226,9 +231,16 @@ impl RunRecorder {
         self.records.drain(..held).collect()
     }
 
-    /// Whether delivered payloads should be captured.
-    pub fn capture_payloads(&self) -> bool {
-        self.payloads
+    /// The `Debug` text of a delivered payload when payloads are
+    /// captured, `None` otherwise. The text is formatted into a buffer
+    /// the recorder keeps, so each capture allocates once, exactly.
+    pub fn payload(&mut self, msg: &dyn fmt::Debug) -> Option<Box<str>> {
+        if !self.payloads {
+            return None;
+        }
+        self.text.clear();
+        write!(self.text, "{msg:?}").expect("writing to a String cannot fail");
+        Some(self.text.as_str().into())
     }
 
     /// Retained records, oldest first.
@@ -367,8 +379,8 @@ mod tests {
     #[test]
     fn window_buffers_inherit_payload_policy_only() {
         let master = RunRecorder::new(&Recording::ring(8).payloads(true).histograms(true));
-        let w = master.window_buffer();
-        assert!(w.capture_payloads());
+        let mut w = master.window_buffer();
+        assert!(w.payload(&7).is_some());
         assert!(w.histograms().is_none());
         assert_eq!(w.cap, None);
     }
