@@ -165,11 +165,12 @@ pub(crate) fn ring(ctx: &RunCtx, n: u32, delta: f64, seed: u64) -> RingConfig {
 /// Returns `(messages, time)` accumulators.
 pub(crate) fn election_stats(group: &Group<'_>) -> (Online, Online) {
     let leaders = group.online("leaders");
-    assert_eq!(
-        leaders.mean(),
-        1.0,
-        "every run must elect exactly one leader ({})",
-        group.label()
+    assert!(
+        leaders.min() == Some(1.0) && leaders.max() == Some(1.0),
+        "every run must elect exactly one leader ({}: {:?} to {:?} leaders)",
+        group.label(),
+        leaders.min(),
+        leaders.max()
     );
     (group.online("messages"), group.online("time"))
 }
@@ -177,6 +178,22 @@ pub(crate) fn election_stats(group: &Group<'_>) -> (Online, Online) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abe_sweep::{run_sweep, CellMetrics, SweepSpec};
+
+    #[test]
+    #[should_panic(expected = "every run must elect exactly one leader")]
+    fn election_stats_fails_a_group_whose_leader_mean_is_one() {
+        // A 0-leader run and a 2-leader run average to exactly 1.
+        let spec = SweepSpec::new().seeds(2);
+        let outcome = run_sweep(&spec, 1, |cell| {
+            CellMetrics::new()
+                .metric("leaders", 2.0 * cell.rep() as f64)
+                .metric("messages", 1.0)
+                .metric("time", 1.0)
+        })
+        .unwrap();
+        election_stats(&outcome.groups()[0]);
+    }
 
     #[test]
     #[should_panic(expected = "30 of 30 cells violate the outcome oracles")]

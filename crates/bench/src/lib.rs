@@ -19,9 +19,6 @@
 //! cargo run -p abe-bench --bin abe-experiments --release -- \
 //!     e1 --smoke --threads 2 --json out/e1.json                      # CI smoke
 //! ```
-//!
-//! Criterion micro-benches (kernel throughput, sampling, scaling) live in
-//! `benches/`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

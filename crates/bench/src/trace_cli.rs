@@ -442,7 +442,18 @@ mod tests {
         let file = render_trace_file(&run, &trace_meta("e1", &ctx, &cell));
         let first = file.lines().next().unwrap();
         assert!(first.contains("\"experiment\":\"e1\""), "{first}");
+        assert!(first.contains("\"scale\":\"smoke\""), "{first}");
         assert!(first.contains("\"cell\":\"n=8, rep=1\""), "{first}");
+        assert!(
+            first.contains(&format!("\"seed\":\"{}\"", cell.seed())),
+            "{first}"
+        );
+        // Execution parameters in the header would break byte-identity
+        // across `--threads`/`--shards`.
+        assert!(
+            !first.contains("\"shards\"") && !first.contains("\"threads\""),
+            "{first}"
+        );
         validate_trace(&file).unwrap();
         let chain = render_chain(&run, 0, 0, 8);
         assert!(chain.contains("causal chain"), "{chain}");

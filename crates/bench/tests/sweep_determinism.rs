@@ -1,11 +1,11 @@
 //! Cross-thread determinism guarantees of the sweep engine.
 //!
 //! The engine's contract: the JSON-visible metric block of a sweep is a
-//! pure function of the spec — worker count and scheduling order must not
-//! leak into it — and a panicking cell fails the sweep with its grid
-//! coordinates in the error.
+//! pure function of the spec — worker count, shard count and scheduling
+//! order must not leak into it — and a panicking cell fails the sweep
+//! with its grid coordinates in the error.
 
-use abe_bench::{experiments, RunCtx, Scale};
+use abe_bench::{experiments, ExperimentReport, RunCtx, Scale};
 use abe_sweep::{run_sweep, CellMetrics, SweepError, SweepSpec};
 
 /// A minimal recursive-descent JSON syntax checker (no serde in the
@@ -116,6 +116,50 @@ fn assert_valid_json(s: &str) {
     }
 }
 
+/// Runs an experiment at `(threads, shards)` = (1, 1), (8, 1) and
+/// (2, 2) and asserts the three reports agree in everything the
+/// document renders outside its engine stanza: the metric block, the
+/// table and the findings. Worker count and shard count must not leak
+/// into the data.
+fn assert_engine_invariant(run: fn(&RunCtx) -> ExperimentReport) {
+    let at = |threads, shards| {
+        let mut ctx = RunCtx::new(Scale::Smoke, threads);
+        ctx.shards = shards;
+        run(&ctx)
+    };
+    let base = at(1, 1);
+    assert_eq!(base.sweep.threads, 1);
+    for (threads, shards) in [(8, 1), (2, 2)] {
+        let other = at(threads, shards);
+        let what = format!("{} at threads={threads}, shards={shards}", base.id);
+        assert!(other.sweep.threads > 1, "{what}");
+        assert_eq!(
+            base.sweep.metrics_json(),
+            other.sweep.metrics_json(),
+            "{what}"
+        );
+        assert_eq!(base.table.to_csv(), other.table.to_csv(), "{what}");
+        assert_eq!(base.findings, other.findings, "{what}");
+    }
+}
+
+/// Renders an experiment's smoke document and asserts what every
+/// `sweep-v1` document holds: valid JSON, its schema and experiment id,
+/// and at least one cell (so at least one group: groups partition the
+/// cells).
+fn smoke_document(report: &ExperimentReport) -> String {
+    let doc = abe_bench::sweep::json::document(report, "smoke");
+    assert_valid_json(&doc);
+    let id = report.id.to_ascii_lowercase();
+    assert!(
+        doc.starts_with("{\"schema\":\"abe-bench/sweep-v1\""),
+        "{id}"
+    );
+    assert!(doc.contains(&format!("\"experiment\":\"{id}\"")), "{id}");
+    assert!(!report.sweep.cells.is_empty(), "{id}: no cells");
+    doc
+}
+
 fn toy_spec() -> SweepSpec {
     SweepSpec::new()
         .axis_u32("n", &[4, 8, 16])
@@ -143,28 +187,13 @@ fn toy_sweep_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn e1_smoke_is_byte_identical_across_thread_counts() {
-    // The acceptance gate: `--threads 1` and `--threads 8` must produce
-    // byte-identical JSON metric blocks for e1 on the same spec.
-    let single = experiments::e1_messages::run(&RunCtx::new(Scale::Smoke, 1));
-    let parallel = experiments::e1_messages::run(&RunCtx::new(Scale::Smoke, 8));
-    assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-    assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-    assert_eq!(single.findings, parallel.findings);
-    assert_eq!(single.sweep.threads, 1);
-    assert!(parallel.sweep.threads > 1);
+    assert_engine_invariant(experiments::e1_messages::run);
 }
 
 #[test]
 fn e1_smoke_document_is_valid_json() {
     let report = experiments::e1_messages::run(&RunCtx::new(Scale::Smoke, 2));
-    let doc = abe_bench::sweep::json::document(&report, "smoke");
-    assert_valid_json(&doc);
-    assert!(doc.contains("\"experiment\":\"e1\""));
-    assert!(doc.contains("\"schema\":\"abe-bench/sweep-v1\""));
-    assert!(
-        !report.sweep.cells.is_empty(),
-        "smoke sweep must have cells"
-    );
+    smoke_document(&report);
 }
 
 #[test]
@@ -228,20 +257,19 @@ mod scaling_regression {
 
     #[test]
     fn e16_smoke_is_byte_identical_across_thread_counts() {
-        let single = e16_scaling::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e16_scaling::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e16_scaling::run);
     }
 
     #[test]
     fn e16_smoke_document_is_valid_json() {
+        // Every run elected exactly one leader: `election_stats` fails the
+        // run otherwise. Every run also went through the queue.
         let report = e16_scaling::run(&RunCtx::new(Scale::Smoke, 2));
-        let doc = abe_bench::sweep::json::document(&report, "smoke");
-        assert_valid_json(&doc);
-        assert!(doc.contains("\"experiment\":\"e16\""));
-        assert!(!report.sweep.cells.is_empty());
+        smoke_document(&report);
+        for cell in &report.sweep.cells {
+            let scheduled = cell.metrics.get_counter("queue_scheduled");
+            assert!(scheduled > Some(0), "{}", cell.cell.label());
+        }
     }
 }
 
@@ -288,20 +316,12 @@ mod adversary_regression {
 
     #[test]
     fn e17_smoke_is_byte_identical_across_thread_counts() {
-        let single = e17_adversary::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e17_adversary::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e17_adversary::run);
     }
 
     #[test]
     fn e18_smoke_is_byte_identical_across_thread_counts() {
-        let single = e18_reorder_sync::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e18_reorder_sync::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e18_reorder_sync::run);
     }
 
     #[test]
@@ -310,16 +330,13 @@ mod adversary_regression {
             (e17_adversary::run(&RunCtx::new(Scale::Smoke, 2)), "e17"),
             (e18_reorder_sync::run(&RunCtx::new(Scale::Smoke, 2)), "e18"),
         ] {
-            let doc = abe_bench::sweep::json::document(&report, "smoke");
-            assert_valid_json(&doc);
-            assert!(doc.contains(&format!("\"experiment\":\"{id}\"")));
+            let doc = smoke_document(&report);
             assert!(
                 doc.contains("\"adv_max_edge_mean\""),
                 "{id} lacks auditor telemetry"
             );
             assert!(doc.contains("\"adv_clamped\""));
             assert!(doc.contains("\"adv_violations\""));
-            assert!(!report.sweep.cells.is_empty());
         }
     }
 }
@@ -335,20 +352,12 @@ mod consensus_regression {
 
     #[test]
     fn e19_smoke_is_byte_identical_across_thread_counts() {
-        let single = e19_benor::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e19_benor::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e19_benor::run);
     }
 
     #[test]
     fn e20_smoke_is_byte_identical_across_thread_counts() {
-        let single = e20_brb::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e20_brb::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e20_brb::run);
     }
 
     #[test]
@@ -357,24 +366,19 @@ mod consensus_regression {
             (e19_benor::run(&RunCtx::new(Scale::Smoke, 2)), "e19"),
             (e20_brb::run(&RunCtx::new(Scale::Smoke, 2)), "e20"),
         ] {
-            let doc = abe_bench::sweep::json::document(&report, "smoke");
-            assert_valid_json(&doc);
-            assert!(doc.contains(&format!("\"experiment\":\"{id}\"")));
+            let doc = smoke_document(&report);
             assert!(
                 doc.contains("\"agreement_violation\""),
                 "{id} lacks safety indicators"
             );
             assert!(doc.contains("\"validity_violation\""));
             assert!(doc.contains("\"decided\""));
-            assert!(!report.sweep.cells.is_empty());
+            // e19's adversarial cells carry the budget auditor's telemetry.
+            if id == "e19" {
+                assert!(doc.contains("\"adv_max_edge_mean\""));
+                assert!(doc.contains("\"adv_violations\""));
+            }
         }
-        // e19's adversarial cells carry the budget auditor's telemetry.
-        let doc = abe_bench::sweep::json::document(
-            &e19_benor::run(&RunCtx::new(Scale::Smoke, 2)),
-            "smoke",
-        );
-        assert!(doc.contains("\"adv_max_edge_mean\""));
-        assert!(doc.contains("\"adv_violations\""));
     }
 }
 
@@ -390,20 +394,12 @@ mod sync_regression {
 
     #[test]
     fn e21_smoke_is_byte_identical_across_thread_counts() {
-        let single = e21_antientropy::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e21_antientropy::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e21_antientropy::run);
     }
 
     #[test]
     fn e22_smoke_is_byte_identical_across_thread_counts() {
-        let single = e22_churn_sync::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e22_churn_sync::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e22_churn_sync::run);
     }
 
     #[test]
@@ -412,9 +408,7 @@ mod sync_regression {
             (e21_antientropy::run(&RunCtx::new(Scale::Smoke, 2)), "e21"),
             (e22_churn_sync::run(&RunCtx::new(Scale::Smoke, 2)), "e22"),
         ] {
-            let doc = abe_bench::sweep::json::document(&report, "smoke");
-            assert_valid_json(&doc);
-            assert!(doc.contains(&format!("\"experiment\":\"{id}\"")));
+            let doc = smoke_document(&report);
             assert!(
                 doc.contains("\"converged\"") && doc.contains("\"residual_divergence\""),
                 "{id} lacks convergence indicators"
@@ -422,7 +416,6 @@ mod sync_regression {
             assert!(doc.contains("\"wire_bytes\""));
             assert!(doc.contains("\"sync_entries_sent\""));
             assert!(doc.contains("\"payload_bytes\""));
-            assert!(!report.sweep.cells.is_empty());
         }
     }
 }
@@ -493,9 +486,9 @@ mod scenario_differential {
 }
 
 mod perf_harness {
-    //! The `abe-perf` JSON document must parse and carry nonzero
-    //! throughput figures — the same contract the CI perf-bench job
-    //! asserts on the written `BENCH_kernel.json`.
+    //! The `abe-perf` JSON document must parse and pass the same
+    //! [`KernelBench::check`](abe_bench::perf::KernelBench::check) that
+    //! fails the `abe-perf` binary.
 
     use super::assert_valid_json;
     use abe_bench::perf::{self, ParamValue, PerfMode};
@@ -503,60 +496,34 @@ mod perf_harness {
     #[test]
     fn kernel_bench_smoke_document_is_valid_json_with_throughput() {
         let bench = perf::run(PerfMode::Smoke);
-        assert_eq!(bench.suites.len(), 5);
+        let names: Vec<_> = bench.suites.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "queue_churn",
+                "ring_election",
+                "ring_election_parallel",
+                "fault_storm",
+                "sync_antientropy",
+            ]
+        );
+        bench.check().unwrap();
         let doc = bench.to_json();
         assert_valid_json(&doc);
         assert!(doc.starts_with("{\"schema\":\"abe-bench/kernel-v1\""));
-        for (suite, name) in bench.suites.iter().zip([
-            "queue_churn",
-            "ring_election",
-            "ring_election_parallel",
-            "fault_storm",
-            "sync_antientropy",
-        ]) {
-            assert_eq!(suite.name, name);
-            assert!(!suite.cells.is_empty(), "{name} has no cells");
-            assert!(doc.contains(&format!("\"{name}\"")));
-            for cell in &suite.cells {
-                assert!(cell.events > 0, "{name}: zero events");
-                assert!(cell.events_per_sec() > 0.0, "{name}: zero throughput");
-            }
+        for field in names
+            .iter()
+            .chain(&["speedup", "speedup_vs_seq", "work_inflation"])
+        {
+            assert!(doc.contains(&format!("\"{field}\"")), "{field}");
         }
-        assert!(bench.churn.speedup() > 0.0);
-        assert!(doc.contains("\"speedup\":"));
-
-        // The parallel suite carries the equivalence guarantee into the
-        // document: identical event counts across shard counts within a
-        // delay family, a measured speedup on every cell, and — on every
-        // sharded cell — the work inflation and not one single-step,
-        // exponential delays included.
-        let parallel = &bench.suites[2];
-        for delay in ["uniform", "exp"] {
-            let family: Vec<_> = parallel
-                .cells
-                .iter()
-                .filter(|c| c.params[0].1 == ParamValue::Str(delay))
-                .collect();
-            let events: std::collections::BTreeSet<u64> = family.iter().map(|c| c.events).collect();
-            assert_eq!(
-                events.len(),
-                1,
-                "{delay}: event counts differ across shards"
-            );
-            for cell in family {
-                assert!(cell.metrics["speedup_vs_seq"] > 0.0, "{delay}: no speedup");
-                if cell.params[2].1 != ParamValue::U64(1) {
-                    assert!(
-                        cell.metrics["work_inflation"] > 0.0,
-                        "{delay}: no inflation"
-                    );
-                    assert_eq!(cell.counters["single_steps"], 0, "{delay}");
-                    assert!(cell.counters["windows"] > 0, "{delay}");
-                }
-            }
+        // One activation shape: every election cell is one token's lap.
+        for cell in &bench.suites[1].cells {
+            let Some(&ParamValue::U64(n)) = cell.param("n") else {
+                panic!("ring_election cell without n: {}", cell.label());
+            };
+            assert_eq!(cell.events, 2 * n + 1, "ring_election at n={n}");
         }
-        assert!(doc.contains("\"speedup_vs_seq\":"));
-        assert!(doc.contains("\"work_inflation\":"));
     }
 }
 
@@ -602,20 +569,12 @@ mod fault_regression {
 
     #[test]
     fn e14_smoke_is_byte_identical_across_thread_counts() {
-        let single = e14_crash_churn::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e14_crash_churn::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e14_crash_churn::run);
     }
 
     #[test]
     fn e15_smoke_is_byte_identical_across_thread_counts() {
-        let single = e15_partitions::run(&RunCtx::new(Scale::Smoke, 1));
-        let parallel = e15_partitions::run(&RunCtx::new(Scale::Smoke, 8));
-        assert_eq!(single.sweep.metrics_json(), parallel.sweep.metrics_json());
-        assert_eq!(single.table.to_csv(), parallel.table.to_csv());
-        assert_eq!(single.findings, parallel.findings);
+        assert_engine_invariant(e15_partitions::run);
     }
 
     #[test]
@@ -624,15 +583,12 @@ mod fault_regression {
             (e14_crash_churn::run(&RunCtx::new(Scale::Smoke, 2)), "e14"),
             (e15_partitions::run(&RunCtx::new(Scale::Smoke, 2)), "e15"),
         ] {
-            let doc = abe_bench::sweep::json::document(&report, "smoke");
-            assert_valid_json(&doc);
-            assert!(doc.contains(&format!("\"experiment\":\"{id}\"")));
+            let doc = smoke_document(&report);
             assert!(
                 doc.contains("\"fault_crashes\""),
                 "{id} lacks fault telemetry"
             );
             assert!(doc.contains("\"fault_dropped_partition\""));
-            assert!(!report.sweep.cells.is_empty());
         }
     }
 }

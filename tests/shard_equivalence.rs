@@ -40,7 +40,9 @@ use abe_core::fault::{EdgeSelector, FaultPlan};
 use abe_core::{
     Ctx, InPort, NetworkBuilder, NetworkReport, OutPort, Protocol, RunConfig, Topology,
 };
-use abe_election::{run_abe, run_abe_calibrated, run_itai_rodeh, ElectionOutcome, RingConfig};
+use abe_election::{
+    run_abe, run_abe_calibrated, run_itai_rodeh, AbeElection, ElectionOutcome, RingConfig,
+};
 use abe_sim::{RunLimits, RunOutcome, SimTime};
 
 /// A token-passing protocol that quiesces on its own: node 0 launches a
@@ -235,6 +237,35 @@ fn max_time_election_with_positive_lookahead_matches_sequential() {
         assert_eq!(a.report.outcome, RunOutcome::MaxTime);
         assert_outcomes_equal(&a, &b, &format!("max-time election, shards={shards}"));
     }
+}
+
+#[test]
+fn ring_shard_exp_smoke_runs_in_windows() {
+    // The benchmark's `ring-shard-exp` shape at smoke size: exponential
+    // delays have zero static lookahead, so every window rests on the
+    // delays pre-drawn for the cross-shard edges. With a0 = 0.5 about n
+    // tokens circulate until the horizon, and the run must advance in
+    // windows only: no single-step, no fallback.
+    let n = 1_000;
+    let build = |shards| {
+        NetworkBuilder::new(Topology::unidirectional_ring(n).expect("n >= 1"))
+            .delay_shared(Arc::new(Exponential::from_mean(1.0).expect("valid mean")))
+            .seed(1)
+            .shards(shards)
+            .build(|_| AbeElection::new(n, 0.5).expect("valid a0"))
+            .expect("valid build")
+    };
+    let limits = RunLimits::events(200_000_000).with_max_time(SimTime::from_secs(8.0));
+    let (seq_report, _) = build(1).run(limits);
+    let (par_report, par_net) = build(2).run_sharded(limits);
+    assert_eq!(seq_report, par_report);
+    let timing = par_net
+        .shard_timing()
+        .expect("a sharded run records its timing");
+    assert!(
+        timing.windows > 0 && timing.single_steps == 0 && !timing.fell_back,
+        "{timing:?}"
+    );
 }
 
 /// Asserts two Ben-Or outcomes agree on everything observable: the report
