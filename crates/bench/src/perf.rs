@@ -210,8 +210,9 @@ impl KernelBench {
     /// Checks the rules every run must pass on any machine: every suite
     /// measured at least one cell and every cell did work; the sharded
     /// election did the same events at every shard count of a
-    /// `(delay, n)` group, measured its speedup on every cell, and ran
-    /// every sharded cell in windows without one single-step; and both
+    /// `(delay, n)` group, measured a positive speedup on every cell and
+    /// a positive work inflation on every sharded cell, and ran every
+    /// sharded cell in windows without one single-step; and both
     /// churn backends moved. Wall-clock floors depend on the host, so
     /// they belong to the `abe-perf` binary, not to this check.
     ///
@@ -242,12 +243,13 @@ impl KernelBench {
             ensure(cell.events == first, || {
                 format!("{}: {} events, not {first}", at(), cell.events)
             })?;
-            ensure(cell.metrics.contains_key("speedup_vs_seq"), || {
-                format!("{}: no speedup_vs_seq", at())
+            let positive = |name| cell.metrics.get(name).is_some_and(|v| *v > 0.0);
+            ensure(positive("speedup_vs_seq"), || {
+                format!("{}: speedup_vs_seq missing or not positive", at())
             })?;
             if cell.param("shards") != Some(&ParamValue::U64(1)) {
-                ensure(cell.metrics.contains_key("work_inflation"), || {
-                    format!("{}: no work_inflation", at())
+                ensure(positive("work_inflation"), || {
+                    format!("{}: work_inflation missing or not positive", at())
                 })?;
                 let counter = |name| cell.counters.get(name).copied().unwrap_or(0);
                 let (windows, single_steps) = (counter("windows"), counter("single_steps"));
@@ -794,11 +796,22 @@ mod tests {
         fails("5 events, not 10", |b| {
             b.suites[1].cells[1].events = 5;
         });
-        fails("no speedup_vs_seq", |b| {
+        fails("speedup_vs_seq missing", |b| {
             b.suites[1].cells[0].metrics.remove("speedup_vs_seq");
         });
-        fails("no work_inflation", |b| {
+        fails("speedup_vs_seq missing or not positive", |b| {
+            b.suites[1].cells[0].metrics.insert("speedup_vs_seq", 0.0);
+        });
+        fails("speedup_vs_seq missing or not positive", |b| {
+            b.suites[1].cells[1]
+                .metrics
+                .insert("speedup_vs_seq", f64::NAN);
+        });
+        fails("work_inflation missing", |b| {
             b.suites[1].cells[1].metrics.remove("work_inflation");
+        });
+        fails("work_inflation missing or not positive", |b| {
+            b.suites[1].cells[1].metrics.insert("work_inflation", 0.0);
         });
         fails("0 windows", |b| {
             b.suites[1].cells[1].counters.insert("windows", 0);
