@@ -462,7 +462,8 @@ fn campaign_main(args: &[String]) -> ExitCode {
                                       are byte-identical for any N)\n\
                      --bless          rewrite goldens from this run\n\
                      --fuzz N         also run N seeded random scenarios through the\n\
-                                      outcome + determinism oracles\n\
+                                      outcome oracles, and compare each document\n\
+                                      at --threads x --shards against 1 x 1\n\
                      --fuzz-seed S    seed for --fuzz (default 0); a failing scenario\n\
                                       is reproducible from its printed seed\n\n\
                      Exits nonzero on any golden drift, missing golden, or oracle\n\
@@ -514,7 +515,9 @@ fn campaign_main(args: &[String]) -> ExitCode {
                     continue;
                 }
             };
-            let (a, b) = match (compiled.run(opts.threads), compiled.run(1)) {
+            let sequential = compiled.run(1);
+            let sharded = compiled.with_shards(opts.shards).run(opts.threads);
+            let (a, b) = match (sharded, sequential) {
                 (Ok(a), Ok(b)) => (a, b),
                 (Err(e), _) | (_, Err(e)) => {
                     println!("FUZZ    {}: run failed: {e}", scenario.name);
@@ -524,8 +527,8 @@ fn campaign_main(args: &[String]) -> ExitCode {
             };
             if document(&scenario, &a) != document(&scenario, &b) {
                 println!(
-                    "FUZZ    {}: document differs between {} threads and 1",
-                    scenario.name, opts.threads
+                    "FUZZ    {}: document differs between {} threads x {} shards and 1 x 1",
+                    scenario.name, opts.threads, opts.shards
                 );
                 failures += 1;
                 continue;

@@ -40,9 +40,9 @@ use std::time::Instant;
 
 use abe_core::delay::Exponential;
 use abe_core::fault::{EdgeSelector, FaultPlan};
-use abe_core::RunConfig;
-use abe_election::{run_abe_calibrated, RingConfig};
-use abe_sim::{EventQueue, EventToken, HeapQueue, QueueStats, SimTime, SplitMix64};
+use abe_core::{NetworkBuilder, RunConfig, Topology};
+use abe_election::{run_abe_calibrated, AbeElection, ElectionState, RingConfig};
+use abe_sim::{EventQueue, EventToken, HeapQueue, QueueStats, RunLimits, SimTime, SplitMix64};
 use abe_statesync::{run_antientropy, SyncConfig};
 use abe_stats::{json_f64, json_str};
 
@@ -208,7 +208,8 @@ pub struct KernelBench {
 
 impl KernelBench {
     /// Checks the rules every run must pass on any machine: every suite
-    /// measured at least one cell and every cell did work; the sharded
+    /// measured at least one cell and every cell did work; every election
+    /// cell timed its build, run and teardown apart; the sharded
     /// election did the same events at every shard count of a
     /// `(delay, n)` group, measured a positive speedup on every cell and
     /// a positive work inflation on every sharded cell, and ran every
@@ -228,6 +229,14 @@ impl KernelBench {
                 ensure(cell.events_per_sec() > 0.0, || {
                     format!("{} [{}]: zero events", suite.name, cell.label())
                 })?;
+                if suite.name == "ring_election" {
+                    for phase in ["build_s", "run_s", "teardown_s"] {
+                        ensure(cell.metrics.get(phase).is_some_and(|v| *v > 0.0), || {
+                            let at = cell.label();
+                            format!("ring_election [{at}]: {phase} missing or not positive")
+                        })?;
+                    }
+                }
             }
         }
         let parallel = self
@@ -493,34 +502,53 @@ fn election_suite(mode: PerfMode) -> PerfSuite {
     };
     let mut cells = Vec::new();
     for &n in sizes {
+        // The election `run_abe_calibrated` runs on `election_substrate()`,
+        // with a clock read between its build, run and teardown.
         let started = Instant::now();
-        let outcome = run_abe_calibrated(&RingConfig::new(n, election_substrate()), ELECTION_A);
-        let wall = started.elapsed().as_secs_f64();
+        let net = NetworkBuilder::new(Topology::unidirectional_ring(n).expect("n >= 1"))
+            .delay(Exponential::from_mean(1.0).expect("valid mean"))
+            .seed(1)
+            .build(|_| AbeElection::calibrated(n, ELECTION_A).expect("valid a"))
+            .expect("valid build");
+        let built = Instant::now();
+        let (report, net) = net.run(RunLimits::events(200_000_000));
+        let ran = Instant::now();
+        let protocols = net.into_protocols();
+        let leaders = protocols
+            .iter()
+            .filter(|p| p.state() == ElectionState::Leader)
+            .count();
+        drop(protocols);
+        let done = Instant::now();
         assert!(
-            outcome.terminated && outcome.leaders == 1,
+            report.outcome.is_stopped() && leaders == 1,
             "perf election at n={n} must elect exactly one leader \
-             (terminated={}, leaders={})",
-            outcome.terminated,
-            outcome.leaders
+             (outcome={:?}, leaders={leaders})",
+            report.outcome,
         );
+        let secs = |from: Instant, to: Instant| (to - from).as_secs_f64();
         cells.push(PerfCell {
             params: vec![("n", ParamValue::U64(u64::from(n)))],
-            events: outcome.report.events_processed,
-            wall_seconds: wall,
+            events: report.events_processed,
+            wall_seconds: secs(started, done),
             counters: BTreeMap::from([
-                ("messages", outcome.messages),
-                ("leaders", outcome.leaders as u64),
-                ("queue_scheduled", outcome.report.queue_stats.scheduled),
-                ("queue_cancelled", outcome.report.queue_stats.cancelled),
+                ("messages", report.messages_sent),
+                ("leaders", leaders as u64),
+                ("queue_scheduled", report.queue_stats.scheduled),
+                ("queue_cancelled", report.queue_stats.cancelled),
             ]),
-            metrics: BTreeMap::new(),
+            metrics: BTreeMap::from([
+                ("build_s", secs(started, built)),
+                ("run_s", secs(built, ran)),
+                ("teardown_s", secs(ran, done)),
+            ]),
         });
     }
     PerfSuite {
         name: "ring_election",
         about: "single-threaded ABE ring election end-to-end through the network \
                 runtime (calibrated A0 = 0.01/n², one lap of one token: 2n + 1 events; \
-                exponential mean-1 delays)",
+                exponential mean-1 delays); wall_seconds = build_s + run_s + teardown_s",
         cells,
     }
 }
@@ -769,10 +797,15 @@ mod tests {
             about: "",
             cells,
         };
+        let mut election = cell(vec![("n", ParamValue::U64(8))]);
+        election.metrics = ["build_s", "run_s", "teardown_s"]
+            .into_iter()
+            .map(|phase| (phase, 0.5))
+            .collect();
         KernelBench {
             mode: PerfMode::Smoke,
             suites: vec![
-                suite("ring_election", vec![cell(vec![("n", ParamValue::U64(8))])]),
+                suite("ring_election", vec![election]),
                 suite("ring_election_parallel", vec![parallel(1), parallel(2)]),
             ],
             churn: ChurnComparison {
@@ -793,6 +826,15 @@ mod tests {
         assert_eq!(passing_bench().check(), Ok(()));
         fails("no cells", |b| b.suites[0].cells.clear());
         fails("zero events", |b| b.suites[0].cells[0].events = 0);
+        fails("ring_election [n=8]: build_s missing", |b| {
+            b.suites[0].cells[0].metrics.remove("build_s");
+        });
+        fails("run_s missing or not positive", |b| {
+            b.suites[0].cells[0].metrics.insert("run_s", 0.0);
+        });
+        fails("teardown_s missing or not positive", |b| {
+            b.suites[0].cells[0].metrics.insert("teardown_s", f64::NAN);
+        });
         fails("5 events, not 10", |b| {
             b.suites[1].cells[1].events = 5;
         });

@@ -282,17 +282,17 @@ impl NetworkBuilder {
                 NodeSlot::new(factory(i as usize), clock, seeds.stream("node", i.into()))
             })
             .collect();
-        // Consuming processing models draw from one dedicated stream per
-        // edge (keyed by edge id, so draws are shard-invariant);
-        // non-consuming models (e.g. `Deterministic`) get only the scratch
-        // stream, which they never read.
+        // Channels are stored source-major (CSR order), so a node range
+        // owns one contiguous run of them. Consuming processing models draw
+        // from one dedicated stream per edge (keyed by edge id, so draws
+        // are shard-invariant); non-consuming models (e.g. `Deterministic`)
+        // get only the scratch stream, which they never read.
         let consumes = self.processing.consumes_rng();
-        let channels = (0..edge_count as u64)
-            .map(|e| {
-                let delay = self
-                    .edge_delays
-                    .as_ref()
-                    .map_or(&self.delay, |m| &m[e as usize]);
+        let channels = (0..edge_count)
+            .map(|pos| {
+                let e = self.topo.out_edge_at(pos).index();
+                let delay = self.edge_delays.as_ref().map_or(&self.delay, |m| &m[e]);
+                let e = e as u64;
                 ChannelState::new(
                     Arc::clone(delay),
                     seeds.stream("channel", e),
@@ -327,7 +327,7 @@ impl NetworkBuilder {
             adversary,
             shards: self.shards,
             shard_lo: 0,
-            edge_ranks: None,
+            chan_lo: 0,
             outbox: Vec::new(),
             cross: CrossSends::new(Vec::new()),
             timing: None,

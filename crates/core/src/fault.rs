@@ -74,7 +74,7 @@ use std::fmt;
 
 use abe_sim::{SeedStream, Xoshiro256PlusPlus};
 
-use crate::topology::Topology;
+use crate::topology::{EdgeId, Topology};
 
 /// Which edges a drop rule or delay storm applies to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -765,12 +765,24 @@ impl FaultRuntime {
         SendFate::Deliver { stretch }
     }
 
-    /// Copies the down-state of nodes `lo..hi` from `owner` — the shard
-    /// runtime that processed those nodes' crash/recover events — into
-    /// this (merged) runtime. No-op for crash-free plans.
-    pub(crate) fn adopt_down(&mut self, owner: &FaultRuntime, lo: usize, hi: usize) {
+    /// Folds in `owner`, the runtime of the shard that ran nodes `lo..hi`
+    /// and their out-edges `edges`: its stats, those nodes' down-state and
+    /// those edges' drop streams.
+    pub(crate) fn absorb_shard(
+        &mut self,
+        owner: &mut FaultRuntime,
+        lo: usize,
+        hi: usize,
+        edges: impl Iterator<Item = EdgeId>,
+    ) {
+        self.stats.merge(&owner.stats);
         if !self.down.is_empty() {
             self.down[lo..hi].copy_from_slice(&owner.down[lo..hi]);
+        }
+        if !self.drop_rngs.is_empty() {
+            for e in edges {
+                self.drop_rngs[e.index()] = owner.drop_rngs[e.index()].take();
+            }
         }
     }
 

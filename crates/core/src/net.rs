@@ -120,9 +120,9 @@ impl ChannelState {
 /// One edge whose next few delays are pre-drawn: a cross-shard out-edge
 /// with no static lookahead, or a *feeder* — a shard-local in-edge, also
 /// without one, of such an edge's source node.
-#[derive(Clone)]
 pub(crate) struct EdgeCredit {
-    pub(crate) edge: u32,
+    /// The edge's CSR position (see `Topology::out_offset`).
+    pub(crate) pos: u32,
     /// Pre-drawn delays the edge has not consumed yet.
     pub(crate) left: u32,
     /// Lower bound on the latency of the sends those delays will carry.
@@ -133,7 +133,6 @@ pub(crate) struct EdgeCredit {
 /// only while it handles an event, so a lower bound on its next event —
 /// the events already scheduled for it, and the soonest a shard-local
 /// neighbour could reach it with a new message — is added to their bounds.
-#[derive(Clone)]
 pub(crate) struct CrossSource {
     pub(crate) node: u32,
     /// Its pre-drawn cross-shard out-edges, as indices into the credits.
@@ -152,9 +151,8 @@ pub(crate) struct CrossSource {
 /// Send-side bookkeeping of one partition during a windowed pass (see
 /// [`crate::shard`]). Empty and inert on a full network, where no send is
 /// ever cross-shard.
-#[derive(Clone)]
 pub(crate) struct CrossSends {
-    /// Every edge whose bound is pre-drawn, ascending by edge id. The
+    /// Every edge whose bound is pre-drawn, ascending by CSR position. The
     /// shard's lookahead covers exactly the sends these edges have credit
     /// left for.
     pub(crate) credits: Vec<EdgeCredit>,
@@ -176,25 +174,25 @@ pub(crate) struct CrossSends {
 
 impl CrossSends {
     /// Bookkeeping for the given sources (ascending by node), whose `out`
-    /// and `feeders` still list edge ids: they are resolved to credit
+    /// and `feeders` still list CSR positions: they are resolved to credit
     /// slots here. No edge has any credit yet: the first barrier pre-draws.
     pub(crate) fn new(mut sources: Vec<CrossSource>) -> Self {
-        let mut edges: Vec<usize> = sources
+        let mut positions: Vec<usize> = sources
             .iter()
             .flat_map(|s| s.out.iter().chain(&s.feeders).copied())
             .collect();
-        edges.sort_unstable();
+        positions.sort_unstable();
         for source in &mut sources {
-            for edge in source.out.iter_mut().chain(&mut source.feeders) {
-                *edge = edges.binary_search(edge).expect("listed above");
+            for pos in source.out.iter_mut().chain(&mut source.feeders) {
+                *pos = positions.binary_search(pos).expect("listed above");
             }
         }
         Self {
-            spent: !edges.is_empty(),
-            credits: edges
+            spent: !positions.is_empty(),
+            credits: positions
                 .into_iter()
-                .map(|edge| EdgeCredit {
-                    edge: edge as u32,
+                .map(|pos| EdgeCredit {
+                    pos: pos as u32,
                     left: 0,
                     bound: 0.0,
                 })
@@ -206,10 +204,11 @@ impl CrossSends {
         }
     }
 
-    /// Accounts one delay draw on `edge`, if its bound is pre-drawn.
+    /// Accounts one delay draw on the edge at CSR position `pos`, if its
+    /// bound is pre-drawn.
     #[inline]
-    fn spend(&mut self, edge: u32) {
-        if let Ok(i) = self.credits.binary_search_by_key(&edge, |c| c.edge) {
+    fn spend(&mut self, pos: u32) {
+        if let Ok(i) = self.credits.binary_search_by_key(&pos, |c| c.pos) {
             let left = &mut self.credits[i].left;
             *left = left.saturating_sub(1);
             self.spent = true;
@@ -372,6 +371,8 @@ pub struct Network<P: Protocol> {
     pub(crate) nodes: Vec<NodeSlot<P>>,
     /// The clock population every node's [`LocalClock`] was drawn from.
     pub(crate) clocks: ClockSpec,
+    /// One channel per edge, source-major: the edge at CSR position `pos`
+    /// (see `Topology::out_offset`) is `channels[pos - chan_lo]`.
     pub(crate) channels: Vec<ChannelState>,
     pub(crate) processing: SharedDelay,
     /// Scratch stream handed to non-consuming processing models (see
@@ -386,7 +387,7 @@ pub struct Network<P: Protocol> {
     pub(crate) ticks: u64,
     pub(crate) payload_bytes: u64,
     /// The run recorder, when recording was requested (boxed: the
-    /// recorder is cold state and the network is cloned per shard).
+    /// recorder is cold state).
     pub(crate) rec: Option<Box<RunRecorder>>,
     pub(crate) faults: FaultRuntime,
     pub(crate) adversary: Option<AdversaryRuntime>,
@@ -396,9 +397,9 @@ pub struct Network<P: Protocol> {
     /// First node id owned by this (partition of a) network; 0 for a full
     /// network. `nodes` holds the contiguous range starting here.
     pub(crate) shard_lo: u32,
-    /// Global edge ids owned by this partition, sorted ascending; `None`
-    /// when the network owns every edge (`channels[e]` is edge `e`).
-    pub(crate) edge_ranks: Option<Vec<u32>>,
+    /// CSR position of the first channel owned by this partition (the
+    /// first out-edge of node `shard_lo`); 0 for a full network.
+    pub(crate) chan_lo: usize,
     /// Cross-shard sends produced during a window: `(arrival, key, edge,
     /// size, message)`, routed into the destination shard at the next
     /// barrier.
@@ -407,38 +408,6 @@ pub struct Network<P: Protocol> {
     pub(crate) cross: CrossSends,
     /// Telemetry of the last sharded run (set on the merged network).
     pub(crate) timing: Option<ShardTiming>,
-}
-
-impl<P: Protocol + Clone> Clone for Network<P>
-where
-    P::Message: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            topo: Arc::clone(&self.topo),
-            nodes: self.nodes.clone(),
-            clocks: self.clocks,
-            channels: self.channels.clone(),
-            processing: Arc::clone(&self.processing),
-            proc_rng: self.proc_rng.clone(),
-            fifo: self.fifo,
-            tick_interval: self.tick_interval,
-            counters: self.counters.clone(),
-            messages_sent: self.messages_sent,
-            messages_delivered: self.messages_delivered,
-            ticks: self.ticks,
-            payload_bytes: self.payload_bytes,
-            rec: self.rec.clone(),
-            faults: self.faults.clone(),
-            adversary: self.adversary.clone(),
-            shards: self.shards,
-            shard_lo: self.shard_lo,
-            edge_ranks: self.edge_ranks.clone(),
-            outbox: self.outbox.clone(),
-            cross: self.cross.clone(),
-            timing: self.timing.clone(),
-        }
-    }
 }
 
 enum Dispatch<M> {
@@ -454,16 +423,11 @@ impl<P: Protocol> Network<P> {
         (node - self.shard_lo) as usize
     }
 
-    /// Index of `edge`'s channel in this (partition of a) network's
-    /// `channels` vector.
+    /// Index in this (partition of a) network's `channels` vector of the
+    /// channel at CSR position `pos`.
     #[inline]
-    pub(crate) fn channel_slot(&self, edge: usize) -> usize {
-        match &self.edge_ranks {
-            None => edge,
-            Some(ranks) => ranks
-                .binary_search(&(edge as u32))
-                .expect("edge not owned by this shard"),
-        }
+    pub(crate) fn channel_slot(&self, pos: usize) -> usize {
+        pos - self.chan_lo
     }
 
     /// Whether `node` is owned by this partition (always true for a full
@@ -583,29 +547,46 @@ impl<P: Protocol> Network<P> {
         let end_time = sim.now();
         let events_processed = sim.events_processed();
         let mut net = sim.into_world();
-        let report = NetworkReport {
-            outcome: kernel_report.outcome,
+        let report = net.report(
+            kernel_report.outcome,
             end_time,
             events_processed,
-            messages_sent: net.messages_sent,
-            messages_delivered: net.messages_delivered,
-            in_flight: net.messages_sent - net.messages_delivered - net.faults.stats.dropped(),
-            ticks: net.ticks,
-            payload_bytes: net.payload_bytes,
-            queue_stats: kernel_report.queue_stats,
-            faults: net.faults.stats,
-            adversary: net
+            kernel_report.queue_stats,
+        );
+        (report, net)
+    }
+
+    /// The report of a finished run, from the network's accumulators and
+    /// the kernel's outcome, end time, event count and queue telemetry.
+    pub(crate) fn report(
+        &mut self,
+        outcome: RunOutcome,
+        end_time: SimTime,
+        events_processed: u64,
+        queue_stats: QueueStats,
+    ) -> NetworkReport {
+        NetworkReport {
+            outcome,
+            end_time,
+            events_processed,
+            messages_sent: self.messages_sent,
+            messages_delivered: self.messages_delivered,
+            in_flight: self.messages_sent - self.messages_delivered - self.faults.stats.dropped(),
+            ticks: self.ticks,
+            payload_bytes: self.payload_bytes,
+            queue_stats,
+            faults: self.faults.stats,
+            adversary: self
                 .adversary
                 .as_ref()
                 .map_or_else(AdversaryStats::default, AdversaryRuntime::stats),
-            trace_records: net.rec.as_ref().map_or(0, |r| r.seen()),
-            trace_dropped: net.rec.as_ref().map_or(0, |r| r.dropped()),
+            trace_records: self.rec.as_ref().map_or(0, |r| r.seen()),
+            trace_dropped: self.rec.as_ref().map_or(0, |r| r.dropped()),
             // The report takes ownership of the accumulated counters; the
-            // returned network keeps the protocol states but no longer
-            // carries them (they have no accessor on `Network` anyway).
-            counters: std::mem::take(&mut net.counters),
-        };
-        (report, net)
+            // network keeps the protocol states but no longer carries them
+            // (they have no accessor on `Network` anyway).
+            counters: std::mem::take(&mut self.counters),
+        }
     }
 
     /// Dispatches one protocol handler and applies its effects.
@@ -678,11 +659,12 @@ impl<P: Protocol> Network<P> {
         msg: P::Message,
         size: u64,
     ) {
-        let edge = self.topo.out_edges(src)[port];
+        let pos = self.topo.out_offset(src) + port;
+        let edge = self.topo.out_edge_at(pos);
         let dst = self.topo.edge(edge).dst;
         let src_local = self.node_slot(src.index() as u32);
         let cross = !self.owns_node(dst.index() as u32);
-        let channel_slot = self.channel_slot(edge.index());
+        let channel_slot = self.channel_slot(pos);
         let channel = &mut self.channels[channel_slot];
         // Delay and processing draws happen before the fault verdict, so
         // the channel/processing RNG streams advance identically whether a
@@ -695,7 +677,7 @@ impl<P: Protocol> Network<P> {
             // dropped sends included: the draw precedes the verdict. (The
             // list is empty on a full network, and in a partition whose
             // cross-shard edges all have a static lookahead.)
-            self.cross.spend(edge.index() as u32);
+            self.cross.spend(pos as u32);
         }
         let proc_delay = match channel.proc.as_deref_mut() {
             Some(rng) => self.processing.sample(rng),
@@ -846,7 +828,7 @@ impl<P: Protocol> Network<P> {
 
     /// Number of messages sent over `edge` so far.
     pub fn edge_messages(&self, edge: EdgeId) -> u64 {
-        self.channels[edge.index()].sent
+        self.channels[self.channel_slot(self.topo.out_position(edge))].sent
     }
 }
 
@@ -1029,8 +1011,12 @@ mod layout_tests {
             assert_eq!(slot.clock, spec.instantiate(&mut seeds.stream("clock", i)));
         }
         assert_eq!(net.channels.len(), models.len());
-        for (e, (chan, model)) in net.channels.iter().zip(&models).enumerate() {
-            let e = e as u64;
+        for (id, _) in net.topo.edges() {
+            let (chan, model) = (
+                &net.channels[net.topo.out_position(id)],
+                &models[id.index()],
+            );
+            let e = id.index() as u64;
             assert!(
                 Arc::ptr_eq(&chan.delay, model),
                 "edge {e} holds its own model"

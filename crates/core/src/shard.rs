@@ -99,9 +99,13 @@
 //! construction: every random stream is keyed by node or edge id (never by
 //! shard count), per-edge state (FIFO clamp, send sequence, drop stream)
 //! lives with the source shard, and the per-event ordering key reproduces
-//! the sequential pop order. Four situations cannot be reproduced
-//! mid-window and fall back to the classic sequential loop on a pristine
-//! clone of the network (so the result is *still* identical):
+//! the sequential pop order. Each shard runs on a clone of its slice of
+//! the network — its nodes and the channels of their out-edges, one
+//! contiguous range because channels are stored source-major — and only a
+//! completed pass moves the slices back. Four situations cannot be
+//! reproduced mid-window and fall back to the classic sequential loop on
+//! the network the clones left untouched (so the result is *still*
+//! identical):
 //!
 //! * a protocol requests a stop inside a parallel window (other shards
 //!   have already raced past the stop point) — or in a single step taken
@@ -139,14 +143,13 @@ use std::time::Instant;
 use abe_sim::{QueueStats, RunLimits, RunOutcome, SimTime, Simulation};
 use abe_telemetry::{merge_chunks, RunRecorder};
 
-use crate::adversary::AdversaryStats;
-use crate::fault::FaultRuntime;
+use crate::fault::FaultStats;
 use crate::net::{
-    event_key, ChannelState, CrossSends, CrossSource, NetEvent, Network, NetworkReport, NodeSlot,
-    ShardTiming, KIND_CRASH, KIND_RECOVER, KIND_START,
+    event_key, CrossSends, CrossSource, NetEvent, Network, NetworkReport, ShardTiming, KIND_CRASH,
+    KIND_RECOVER, KIND_START,
 };
 use crate::protocol::Protocol;
-use crate::topology::{edge_id_from_raw, Topology};
+use crate::topology::{edge_id_from_raw, NodeId, Topology};
 
 /// A window expected to process fewer events than this is executed on the
 /// calling thread (spawning is pure overhead); results are identical
@@ -188,10 +191,11 @@ impl<P: Protocol> Shard<P> {
         let mut credits = std::mem::take(&mut world.cross.credits);
         for credit in &mut credits {
             if credit.left < CREDIT_DEPTH {
-                let edge = credit.edge as usize;
-                let min_delay = world.channels[world.channel_slot(edge)]
+                let pos = credit.pos as usize;
+                let min_delay = world.channels[world.channel_slot(pos)]
                     .peek_delays(CREDIT_DEPTH)
                     .fold(f64::INFINITY, f64::min);
+                let edge = world.topo.out_edge_at(pos).index();
                 credit.bound = min_delay * world.faults.min_stretch(edge) + proc_min;
                 credit.left = CREDIT_DEPTH;
             }
@@ -246,13 +250,14 @@ where
     /// the sequential run's for every shard count; see the
     /// [module docs](crate::shard) for why — including any recorded
     /// trace, which is merged back into global `(time, key, sub)` order at
-    /// the window barriers. Runs that cannot be
+    /// the window barriers. Each shard runs on a clone of its slice of the
+    /// network, moved back when the pass completes. Runs that cannot be
     /// parallelised faithfully (installed adversary, a mid-window stop,
-    /// event-budget exhaustion or late cross-shard arrival) are re-run
-    /// sequentially on a pristine copy, preserving the guarantee at the
-    /// cost of the speedup; [`Network::shard_timing`] reports whether that
-    /// happened, and why.
-    pub fn run_sharded(self, limits: RunLimits) -> (NetworkReport, Network<P>) {
+    /// event-budget exhaustion or late cross-shard arrival) run
+    /// sequentially on the untouched network instead, preserving the
+    /// guarantee at the cost of the speedup; [`Network::shard_timing`]
+    /// reports whether that happened, and why.
+    pub fn run_sharded(mut self, limits: RunLimits) -> (NetworkReport, Network<P>) {
         let n = self.topo.node_count();
         let shards = self.shards.min(n).max(1);
         // Delegate whole-run observers (and trivial shard counts) to the
@@ -262,16 +267,15 @@ where
         if shards <= 1 || self.adversary.is_some() {
             return self.run(limits);
         }
-        let pristine = self.clone();
-        match run_windowed(self, shards, limits) {
-            Ok(done) => done,
+        match run_windowed(&mut self, shards, limits) {
+            Ok(report) => (report, self),
             Err(mut timing) => {
                 // The windowed pass aborted (stop, budget overshoot or
-                // late arrival mid-window): discard it and replay
-                // sequentially from the pristine clone — identical to
-                // `run` by construction.
+                // late arrival mid-window) on clones of the network's
+                // slices: run the untouched network sequentially —
+                // identical to `run` by construction.
                 timing.fell_back = true;
-                let (report, mut net) = pristine.run(limits);
+                let (report, mut net) = self.run(limits);
                 net.timing = Some(timing);
                 (report, net)
             }
@@ -286,18 +290,18 @@ fn shard_of(node: u32, bounds: &[u32]) -> usize {
     bounds.partition_point(|&b| b <= node) - 1
 }
 
-/// The windowed parallel pass. `Err(timing)` means the pass aborted and the
-/// caller must replay sequentially.
+/// The windowed parallel pass. On `Ok` the shards' results are moved back
+/// into `net`; `Err(timing)` means the pass aborted, `net` is untouched and
+/// the caller must run it sequentially.
 fn run_windowed<P>(
-    net: Network<P>,
+    net: &mut Network<P>,
     shards: u32,
     limits: RunLimits,
-) -> Result<(NetworkReport, Network<P>), ShardTiming>
+) -> Result<NetworkReport, ShardTiming>
 where
     P: Protocol + Clone + Send,
     P::Message: Send,
 {
-    let requested = net.shards;
     let topo = Arc::clone(&net.topo);
     let proc_min = net.processing.min_delay();
     let n = topo.node_count();
@@ -442,7 +446,7 @@ where
 
     collect_trace(&mut parts, master.as_deref_mut(), None);
     timing.busy_nanos = parts.iter().map(|sh| sh.busy_nanos).collect();
-    Ok(merge(parts, outcome, cum, requested, timing, master))
+    Ok(merge(net, parts, outcome, cum, timing, master))
 }
 
 /// Why a shard stopped processing a window.
@@ -542,166 +546,115 @@ fn collect_trace<P: Protocol>(
     merge_chunks(chunks, |rec| master.absorb_merged(rec));
 }
 
-/// Splits a full network into per-shard partitions, each primed with its
-/// own nodes' start events and crash schedule. Returns the shards plus the
+/// Clones a full network's slices into per-shard partitions, each primed
+/// with its own nodes' start events and crash schedule: a shard's nodes
+/// and the channels of their out-edges, which are contiguous because
+/// channels are stored source-major. Returns the shards plus a copy of the
 /// master recorder (if recording is enabled); each shard gets an unbounded
-/// shard-local buffer that [`collect_trace`] merges back into the master
-/// at the barriers.
+/// shard-local buffer that [`collect_trace`] merges back into it at the
+/// barriers.
 fn partition<P>(
-    net: Network<P>,
+    net: &Network<P>,
     bounds: &[u32],
     proc_min: f64,
 ) -> (Vec<Shard<P>>, Option<Box<RunRecorder>>)
 where
     P: Protocol + Clone,
 {
-    let shards = bounds.len() - 1;
-    let Network {
-        topo,
-        mut nodes,
-        clocks,
-        channels,
-        processing,
-        proc_rng,
-        fifo,
-        tick_interval,
-        counters,
-        messages_sent,
-        messages_delivered,
-        ticks,
-        payload_bytes,
-        rec: master,
-        faults,
-        adversary: _,
-        shards: requested,
-        shard_lo: _,
-        edge_ranks: _,
-        outbox: _,
-        cross: _,
-        timing: _,
-    } = net;
-
-    // Split the node vector into contiguous chunks, back to front.
-    let mut node_chunks: Vec<Vec<NodeSlot<P>>> = Vec::with_capacity(shards);
-    for s in (0..shards).rev() {
-        node_chunks.push(nodes.split_off(bounds[s] as usize));
-    }
-    node_chunks.reverse();
-
-    // Sort each shard's outgoing cross edges into those with a positive
-    // static lookahead (folded into one minimum) and those whose lookahead
-    // must be pre-drawn, grouped by source node: the node's shard-local
-    // in-edges split the same way, and what is scheduled for it so far is
-    // its start event and its crash schedule.
-    let static_bound = |e: usize| channels[e].delay.min_delay() * faults.min_stretch(e) + proc_min;
-    let crash_windows = faults.crash_windows().to_vec();
-    let mut static_lookahead = vec![f64::INFINITY; shards];
-    let mut sources: Vec<BTreeMap<u32, CrossSource>> =
-        (0..shards).map(|_| BTreeMap::new()).collect();
-    for e in 0..channels.len() {
-        let edge = topo.edge(edge_id_from_raw(e as u32));
-        let shard = shard_of(edge.src.index() as u32, bounds);
-        if shard == shard_of(edge.dst.index() as u32, bounds) {
-            continue;
-        }
-        let lam = static_bound(e);
-        if lam > 0.0 {
-            static_lookahead[shard] = static_lookahead[shard].min(lam);
-            continue;
-        }
-        let node = edge.src.index() as u32;
-        let source = sources[shard].entry(node).or_insert_with(|| {
-            let mut source = CrossSource {
-                node,
-                out: Vec::new(),
-                feeders: Vec::new(),
-                feed_static: f64::INFINITY,
-                pending: std::iter::once(SimTime::ZERO)
-                    .chain(
-                        crash_windows
-                            .iter()
-                            .filter(|w| w.node == node)
-                            .flat_map(|w| std::iter::once(w.at).chain(w.recover_at))
-                            .map(SimTime::from_secs),
-                    )
-                    .map(Reverse)
-                    .collect(),
-            };
-            for f in topo.in_edges(edge.src) {
-                if shard_of(topo.edge(*f).src.index() as u32, bounds) == shard {
-                    match static_bound(f.index()) {
-                        lam if lam > 0.0 => source.feed_static = source.feed_static.min(lam),
-                        _ => source.feeders.push(f.index()),
-                    }
+    let topo = &net.topo;
+    let crash_windows = net.faults.crash_windows();
+    let static_bound = |pos: usize| {
+        let edge = topo.out_edge_at(pos).index();
+        net.channels[pos].delay.min_delay() * net.faults.min_stretch(edge) + proc_min
+    };
+    let mut parts = Vec::with_capacity(bounds.len() - 1);
+    for range in bounds.windows(2) {
+        let (lo, hi) = (range[0], range[1]);
+        let owns = |node: NodeId| (lo..hi).contains(&(node.index() as u32));
+        // Sort the shard's outgoing cross edges into those with a positive
+        // static lookahead (folded into one minimum) and those whose
+        // lookahead must be pre-drawn, grouped by source node: the node's
+        // shard-local in-edges split the same way, and what is scheduled
+        // for it so far is its start event and its crash schedule.
+        let mut static_lookahead = f64::INFINITY;
+        let mut sources = Vec::new();
+        for node in lo..hi {
+            let v = NodeId::new(node);
+            let mut source: Option<CrossSource> = None;
+            for (port, &e) in topo.out_edges(v).iter().enumerate() {
+                if owns(topo.edge(e).dst) {
+                    continue;
                 }
+                let pos = topo.out_offset(v) + port;
+                let lam = static_bound(pos);
+                if lam > 0.0 {
+                    static_lookahead = static_lookahead.min(lam);
+                    continue;
+                }
+                let source = source.get_or_insert_with(|| {
+                    let mut source = CrossSource {
+                        node,
+                        out: Vec::new(),
+                        feeders: Vec::new(),
+                        feed_static: f64::INFINITY,
+                        pending: std::iter::once(SimTime::ZERO)
+                            .chain(
+                                crash_windows
+                                    .iter()
+                                    .filter(|w| w.node == node)
+                                    .flat_map(|w| std::iter::once(w.at).chain(w.recover_at))
+                                    .map(SimTime::from_secs),
+                            )
+                            .map(Reverse)
+                            .collect(),
+                    };
+                    for &f in topo.in_edges(v) {
+                        if owns(topo.edge(f).src) {
+                            let pos = topo.out_position(f);
+                            match static_bound(pos) {
+                                lam if lam > 0.0 => {
+                                    source.feed_static = source.feed_static.min(lam)
+                                }
+                                _ => source.feeders.push(pos),
+                            }
+                        }
+                    }
+                    source
+                });
+                source.out.push(pos);
             }
-            source
-        });
-        source.out.push(e);
-    }
-
-    // Each channel lives with its *source* shard (send-side state: delay
-    // sampling, FIFO clamp, send sequence, drop stream); deliveries touch
-    // only the destination node, not the channel.
-    let mut chan_chunks: Vec<Vec<ChannelState>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut rank_chunks: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-    for (e, ch) in channels.into_iter().enumerate() {
-        let src = topo.edge(edge_id_from_raw(e as u32)).src;
-        let shard = shard_of(src.index() as u32, bounds);
-        chan_chunks[shard].push(ch);
-        rank_chunks[shard].push(e as u32);
-    }
-
-    let mut parts = Vec::with_capacity(shards);
-    let mut node_chunks = node_chunks.into_iter();
-    let mut chan_chunks = chan_chunks.into_iter();
-    let mut rank_chunks = rank_chunks.into_iter();
-    let mut sources = sources.into_iter();
-    let mut baseline = Some((
-        counters,
-        messages_sent,
-        messages_delivered,
-        ticks,
-        payload_bytes,
-    ));
-    for s in 0..shards {
-        let (lo, hi) = (bounds[s], bounds[s + 1]);
-        // Shard 0 inherits the pre-run accumulators (normally zero; kept
-        // so totals remain lifetime totals, exactly like `run`).
-        let (counters, sent, delivered, ticks, payload_bytes) =
-            baseline.take().unwrap_or((BTreeMap::new(), 0, 0, 0, 0));
-        let mut shard_faults = faults.clone();
-        if s > 0 {
-            shard_faults.stats = crate::fault::FaultStats::default();
+            sources.extend(source);
         }
+
+        // Each channel lives with its *source* shard (send-side state:
+        // delay sampling, FIFO clamp, send sequence, drop stream);
+        // deliveries touch only the destination node, not the channel.
+        let chan_lo = topo.out_offset(NodeId::new(lo));
+        let chan_hi = topo.out_offset(NodeId::new(hi));
+        let mut faults = net.faults.clone();
+        faults.stats = FaultStats::default();
         let part = Network {
-            topo: Arc::clone(&topo),
-            nodes: node_chunks.next().expect("one node chunk per shard"),
-            clocks,
-            channels: chan_chunks.next().expect("one channel chunk per shard"),
-            processing: Arc::clone(&processing),
-            proc_rng: proc_rng.clone(),
-            fifo,
-            tick_interval,
-            counters,
-            messages_sent: sent,
-            messages_delivered: delivered,
-            ticks,
-            payload_bytes,
-            rec: master.as_ref().map(|m| Box::new(m.window_buffer())),
-            faults: shard_faults,
+            topo: Arc::clone(topo),
+            nodes: net.nodes[lo as usize..hi as usize].to_vec(),
+            clocks: net.clocks,
+            channels: net.channels[chan_lo..chan_hi].to_vec(),
+            processing: Arc::clone(&net.processing),
+            proc_rng: net.proc_rng.clone(),
+            fifo: net.fifo,
+            tick_interval: net.tick_interval,
+            counters: BTreeMap::new(),
+            messages_sent: 0,
+            messages_delivered: 0,
+            ticks: 0,
+            payload_bytes: 0,
+            rec: net.rec.as_ref().map(|m| Box::new(m.window_buffer())),
+            faults,
             adversary: None,
-            shards: requested,
+            shards: net.shards,
             shard_lo: lo,
-            edge_ranks: Some(rank_chunks.next().expect("one rank chunk per shard")),
+            chan_lo,
             outbox: Vec::new(),
-            cross: CrossSends::new(
-                sources
-                    .next()
-                    .expect("one source map per shard")
-                    .into_values()
-                    .collect(),
-            ),
+            cross: CrossSends::new(sources),
             timing: None,
         };
         let mut sim = Simulation::new(part);
@@ -734,25 +687,26 @@ where
         }
         parts.push(Shard {
             sim,
-            static_lookahead: static_lookahead[s],
+            static_lookahead,
             lo,
             hi,
             busy_nanos: 0,
         });
     }
-    (parts, master)
+    (parts, net.rec.clone())
 }
 
-/// Reassembles the partitions into one network plus the run report, the
+/// Moves each partition's node and channel slots back into `net`'s own
+/// vectors and folds in its accumulators; returns the run report, the
 /// exact mirror of what `Network::run` produces.
 fn merge<P: Protocol>(
+    net: &mut Network<P>,
     parts: Vec<Shard<P>>,
     outcome: RunOutcome,
     events_processed: u64,
-    requested_shards: u32,
     timing: ShardTiming,
     master: Option<Box<RunRecorder>>,
-) -> (NetworkReport, Network<P>) {
+) -> NetworkReport {
     let end_time = parts
         .iter()
         .map(|sh| sh.sim.now())
@@ -762,97 +716,30 @@ fn merge<P: Protocol>(
     for sh in &parts {
         queue_stats.merge(sh.sim.queue_stats());
     }
-
-    let ranges: Vec<(u32, u32)> = parts.iter().map(|sh| (sh.lo, sh.hi)).collect();
-    let mut worlds: Vec<Network<P>> = parts.into_iter().map(|sh| sh.sim.into_world()).collect();
-
-    let edge_count = worlds[0].topo.edge_count();
-    let mut channel_slots: Vec<Option<ChannelState>> = (0..edge_count).map(|_| None).collect();
-    let mut nodes = Vec::with_capacity(worlds[0].topo.node_count() as usize);
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut messages_sent = 0u64;
-    let mut messages_delivered = 0u64;
-    let mut ticks = 0u64;
-    let mut payload_bytes = 0u64;
-
-    // Fault state: start from shard 0's runtime (it carries the baseline
-    // stats), fold in sibling stats, and adopt each node's down-state from
-    // its owner shard.
-    let mut faults: Option<FaultRuntime> = None;
-    for (s, world) in worlds.iter_mut().enumerate() {
-        nodes.append(&mut world.nodes);
-        let ranks = world
-            .edge_ranks
-            .take()
-            .expect("partitions track edge ranks");
-        for (rank, ch) in ranks.into_iter().zip(world.channels.drain(..)) {
-            channel_slots[rank as usize] = Some(ch);
+    for sh in parts {
+        let (lo, hi) = (sh.lo as usize, sh.hi as usize);
+        let mut world = sh.sim.into_world();
+        let chans = world.chan_lo..world.chan_lo + world.channels.len();
+        for (slot, node) in net.nodes[lo..hi].iter_mut().zip(world.nodes) {
+            *slot = node;
         }
-        for (name, amount) in std::mem::take(&mut world.counters) {
-            *counters.entry(name).or_insert(0) += amount;
+        for (slot, channel) in net.channels[chans.clone()].iter_mut().zip(world.channels) {
+            *slot = channel;
         }
-        messages_sent += world.messages_sent;
-        messages_delivered += world.messages_delivered;
-        ticks += world.ticks;
-        payload_bytes += world.payload_bytes;
-        let (lo, hi) = ranges[s];
-        match faults.as_mut() {
-            None => faults = Some(world.faults.clone()),
-            Some(merged) => {
-                merged.stats.merge(&world.faults.stats);
-                merged.adopt_down(&world.faults, lo as usize, hi as usize);
-            }
+        for (name, amount) in world.counters {
+            *net.counters.entry(name).or_insert(0) += amount;
         }
+        net.messages_sent += world.messages_sent;
+        net.messages_delivered += world.messages_delivered;
+        net.ticks += world.ticks;
+        net.payload_bytes += world.payload_bytes;
+        let topo = &net.topo;
+        let edges = chans.map(|pos| topo.out_edge_at(pos));
+        net.faults.absorb_shard(&mut world.faults, lo, hi, edges);
     }
-    let faults = faults.expect("at least one shard");
-    let channels: Vec<ChannelState> = channel_slots
-        .into_iter()
-        .map(|slot| slot.expect("every edge owned by exactly one shard"))
-        .collect();
-
-    let first = worlds.swap_remove(0);
-    let mut net = Network {
-        topo: first.topo,
-        nodes,
-        clocks: first.clocks,
-        channels,
-        processing: first.processing,
-        proc_rng: first.proc_rng,
-        fifo: first.fifo,
-        tick_interval: first.tick_interval,
-        counters,
-        messages_sent,
-        messages_delivered,
-        ticks,
-        payload_bytes,
-        rec: master,
-        faults,
-        adversary: None,
-        shards: requested_shards,
-        shard_lo: 0,
-        edge_ranks: None,
-        outbox: Vec::new(),
-        cross: CrossSends::new(Vec::new()),
-        timing: Some(timing),
-    };
-
-    let report = NetworkReport {
-        outcome,
-        end_time,
-        events_processed,
-        messages_sent: net.messages_sent,
-        messages_delivered: net.messages_delivered,
-        in_flight: net.messages_sent - net.messages_delivered - net.faults.stats.dropped(),
-        ticks: net.ticks,
-        payload_bytes: net.payload_bytes,
-        queue_stats,
-        faults: net.faults.stats,
-        adversary: AdversaryStats::default(),
-        counters: std::mem::take(&mut net.counters),
-        trace_records: net.rec.as_ref().map_or(0, |r| r.seen()),
-        trace_dropped: net.rec.as_ref().map_or(0, |r| r.dropped()),
-    };
-    (report, net)
+    net.rec = master;
+    net.timing = Some(timing);
+    net.report(outcome, end_time, events_processed, queue_stats)
 }
 
 #[cfg(test)]
@@ -1000,7 +887,7 @@ mod tests {
             .build(relay_factory)
             .unwrap();
         let topo = Arc::clone(&net.topo);
-        let (mut parts, _) = super::partition(net, &[0, 4, 8], 0.0);
+        let (mut parts, _) = super::partition(&net, &[0, 4, 8], 0.0);
         let shard = &mut parts[0];
         shard.refresh_credits(0.0);
 
@@ -1009,15 +896,16 @@ mod tests {
         let source = NodeId::new(3);
         let (out, feeder) = (topo.out_edges(source)[0], topo.in_edges(source)[0]);
         let world = shard.sim.world();
+        let pos = |edge: EdgeId| topo.out_position(edge);
         let bound = |edge: EdgeId| {
-            world.channels[world.channel_slot(edge.index())]
+            world.channels[world.channel_slot(pos(edge))]
                 .peek_delays(CREDIT_DEPTH)
                 .fold(f64::INFINITY, f64::min)
         };
         let (out_bound, feeder_bound) = (bound(out), bound(feeder));
         let cross = &world.cross;
-        let edges: Vec<_> = cross.credits.iter().map(|c| c.edge as usize).collect();
-        assert_eq!(edges, [feeder.index(), out.index()]);
+        let credited: Vec<_> = cross.credits.iter().map(|c| c.pos as usize).collect();
+        assert_eq!(credited, [pos(feeder), pos(out)]);
         assert_eq!(cross.sources.len(), 1);
         assert_eq!(cross.sources[0].node, 3);
 
@@ -1537,7 +1425,8 @@ mod tests {
                     .record(Recording::full())
             };
             let net = make().build(relay_factory).unwrap();
-            let peeked: Vec<f64> = net.channels[edge as usize].peek_delays(k).collect();
+            let pos = net.topo.out_position(crate::topology::edge_id_from_raw(edge));
+            let peeked: Vec<f64> = net.channels[pos].peek_delays(k).collect();
             let (seq_report, seq_net) = net.run(RunLimits::unbounded());
             let (par_report, par_net) = make()
                 .shards(shards)

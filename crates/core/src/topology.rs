@@ -87,11 +87,11 @@ pub struct Edge {
 /// # }
 /// ```
 ///
-/// Adjacency is stored in compressed sparse row form: node `v`'s out-edges
-/// are `out[out_off[v]..out_off[v + 1]]` in port order, and likewise its
-/// in-edges in `inc`. Two per-edge tables computed once at construction
-/// make the delivery path O(1): each edge's in-port at its destination,
-/// and each in-slot's reply port.
+/// Adjacency is stored in compressed sparse row (CSR) form: node `v`'s
+/// out-edges are `out[out_off[v]..out_off[v + 1]]` in port order, and
+/// likewise its in-edges in `inc`. Two per-edge tables computed once at
+/// construction make the delivery path O(1): each edge's in-port at its
+/// destination, and each in-slot's reply port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: u32,
@@ -524,6 +524,26 @@ impl Topology {
         }
         let port = *self.reply_ports(node).get(in_port)?;
         (port != NO_REPLY).then_some(port as usize)
+    }
+
+    /// CSR position of `node`'s first out-edge: its port `p` is at
+    /// position `out_offset(node) + p`. Positions order the edges
+    /// source-major, so a node range owns one contiguous position range.
+    pub(crate) fn out_offset(&self, node: NodeId) -> usize {
+        self.out_off[node.index()] as usize
+    }
+
+    /// The edge at CSR position `pos`.
+    pub(crate) fn out_edge_at(&self, pos: usize) -> EdgeId {
+        self.out[pos]
+    }
+
+    /// CSR position of `edge`: a binary search of its source's out-edges,
+    /// which [`csr`] leaves ascending by edge id.
+    pub(crate) fn out_position(&self, edge: EdgeId) -> usize {
+        let range = self.out_range(self.edges[edge.index()].src);
+        let port = self.out[range.clone()].binary_search(&edge);
+        range.start + port.expect("an edge is among its source's out-edges")
     }
 
     /// Positions of `node`'s out-edges in `out`.

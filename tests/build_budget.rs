@@ -6,6 +6,8 @@
 //! staged and freed on the way, so the peak live bytes during `build`
 //! are exactly the bytes the network keeps. A recorded delivery with
 //! payload capture costs about one allocation, the payload's own text.
+//! A sharded run allocates no more than the sequential run plus one copy
+//! of what the network keeps: the shards' clones of its slices.
 //!
 //! Everything runs in one `#[test]`: the allocator counters are global
 //! and libtest runs the tests of one binary concurrently.
@@ -13,19 +15,23 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use abe_core::delay::Exponential;
+use abe_core::delay::{Exponential, Uniform};
 use abe_core::{Ctx, InPort, NetworkBuilder, OutPort, Protocol, Topology};
-use abe_sim::RunLimits;
+use abe_election::AbeElection;
+use abe_sim::{RunLimits, SimTime};
 use abe_telemetry::{Recording, TraceEvent};
 
-/// Counts allocator calls and tracks live and peak live bytes.
+/// Counts allocator calls and bytes allocated, and tracks live and peak
+/// live bytes.
 struct Counting;
 
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
+    BYTES.fetch_add(bytes, Relaxed);
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -59,11 +65,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What one measured section cost: allocator calls, bytes still live at
-/// its end and the peak live bytes during it, both relative to its start.
+/// What one measured section cost: allocator calls, bytes allocated,
+/// bytes still live at its end and the peak live bytes during it, both
+/// relative to its start.
 #[derive(Debug)]
 struct Cost {
     calls: usize,
+    bytes: usize,
     kept: usize,
     peak: usize,
 }
@@ -72,9 +80,11 @@ fn measure<T>(section: impl FnOnce() -> T) -> (T, Cost) {
     let live = LIVE.load(Relaxed);
     PEAK.store(live, Relaxed);
     let calls = CALLS.load(Relaxed);
+    let bytes = BYTES.load(Relaxed);
     let out = section();
     let cost = Cost {
         calls: CALLS.load(Relaxed) - calls,
+        bytes: BYTES.load(Relaxed) - bytes,
         kept: LIVE.load(Relaxed) - live,
         peak: PEAK.load(Relaxed) - live,
     };
@@ -82,7 +92,7 @@ fn measure<T>(section: impl FnOnce() -> T) -> (T, Cost) {
 }
 
 /// Forwards a token around the ring until it has made its laps.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Relay {
     id: u32,
 }
@@ -195,5 +205,33 @@ fn build_and_recorded_deliveries_stay_within_their_allocation_budgets() {
     assert!(
         extra <= payloads + 64,
         "recording made {extra} more allocator calls for {payloads} payloads"
+    );
+
+    // Rule 3: a 2-shard run allocates no more than the sequential run
+    // plus the bytes `build` keeps — one copy of the network, the shards'
+    // clones of its slices, which leave the network itself untouched for
+    // the sequential fallback.
+    let n = 10_000;
+    let election = |shards: u32| {
+        NetworkBuilder::new(Topology::unidirectional_ring(n).expect("n >= 1"))
+            .delay(Uniform::new(0.5, 1.5).expect("valid bounds"))
+            .seed(1)
+            .shards(shards)
+            .build(|_| AbeElection::new(n, 0.5).expect("valid a0"))
+            .expect("valid ring")
+    };
+    let limits = RunLimits::until(SimTime::from_secs(4.0));
+    let (net, build) = measure(|| election(1));
+    let ((seq_report, _), seq) = measure(|| net.run(limits));
+    let net = election(2);
+    let ((par_report, net), par) = measure(|| net.run_sharded(limits));
+    assert_eq!(seq_report, par_report);
+    assert!(!net.shard_timing().expect("a sharded run").fell_back);
+    assert!(
+        par.bytes <= seq.bytes + build.kept,
+        "run_sharded allocated {} B, over run's {} B plus build's kept {} B",
+        par.bytes,
+        seq.bytes,
+        build.kept
     );
 }

@@ -435,6 +435,176 @@ fn full_exchange_reference_matches_sequential_for_every_shard_count() {
     }
 }
 
+/// Floods a hop-bounded message on every out-port, `burst` copies per
+/// port (`burst == 0`: one copy on the port its hop count picks), and
+/// counts what arrives on each in-port; stops the network at its
+/// `stop_at`-th message (never at 0).
+#[derive(Debug, Clone, PartialEq)]
+struct Flood {
+    burst: u32,
+    hops: u32,
+    stop_at: u64,
+    heard: Vec<u64>,
+}
+
+impl Flood {
+    fn send_all(&self, hops: u32, ctx: &mut Ctx<'_, u32>) {
+        let degree = ctx.out_degree();
+        if self.burst == 0 {
+            ctx.send(OutPort(hops as usize % degree), hops);
+        }
+        for port in 0..degree {
+            for _ in 0..self.burst {
+                ctx.send(OutPort(port), hops);
+            }
+        }
+    }
+}
+
+impl Protocol for Flood {
+    type Message = u32;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        self.heard = vec![0; ctx.in_degree()];
+        self.send_all(self.hops, ctx);
+    }
+
+    fn on_message(&mut self, from: InPort, hops: u32, ctx: &mut Ctx<'_, u32>) {
+        self.heard[from.0] += 1;
+        if self.heard.iter().sum::<u64>() == self.stop_at {
+            ctx.stop_network();
+        } else if hops > 0 {
+            self.send_all(hops - 1, ctx);
+        }
+    }
+}
+
+/// `pairs` in a seeded shuffled order, so edge ids follow no node order.
+fn shuffled(n: u32, mut pairs: Vec<(u32, u32)>, seed: u64) -> Topology {
+    let mut rng = abe_sim::SplitMix64::new(seed);
+    for i in (1..pairs.len()).rev() {
+        pairs.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    Topology::from_edges(n, pairs).expect("valid pairs")
+}
+
+/// Topologies whose edge ids are not in source-major (CSR) order, unlike
+/// a unidirectional ring's or `Topology::complete`'s: there, an edge id
+/// and the edge's CSR position coincide and hide a mix-up of the two.
+fn unordered_topologies() -> Vec<(&'static str, Topology)> {
+    let chords = (0..16).flat_map(|i| [(i, (i + 1) % 16), (i, (i + 5) % 16), ((i + 3) % 16, i)]);
+    vec![
+        (
+            "bidirectional ring",
+            Topology::bidirectional_ring(16).expect("n >= 1"),
+        ),
+        ("star", Topology::star(12).expect("n >= 1")),
+        ("shuffled chords", shuffled(16, chords.collect(), 5)),
+    ]
+}
+
+/// Runs `flood` on `topo` sequentially and at 2, 3 and 4 shards. Every
+/// sharded run must equal the sequential one in its report, every node's
+/// state and every edge's message count. Returns each sharded timing.
+fn assert_flood_equivalent(
+    topo: &Topology,
+    delay: SharedDelay,
+    flood: &Flood,
+    limits: RunLimits,
+    what: &str,
+) -> Vec<abe_core::ShardTiming> {
+    let build = |shards: u32| {
+        NetworkBuilder::new(topo.clone())
+            .delay_shared(Arc::clone(&delay))
+            .seed(9)
+            .shards(shards)
+            .build(|_| flood.clone())
+            .expect("valid build")
+    };
+    let (seq_report, seq_net) = build(1).run(limits);
+    [2, 3, 4]
+        .into_iter()
+        .map(|shards| {
+            let what = format!("{what}, {shards} shards");
+            let (par_report, par_net) = build(shards).run_sharded(limits);
+            assert_eq!(seq_report, par_report, "{what}: reports diverge");
+            assert!(
+                seq_net.protocols().eq(par_net.protocols()),
+                "{what}: node states diverge"
+            );
+            for (edge, _) in topo.edges() {
+                assert_eq!(
+                    seq_net.edge_messages(edge),
+                    par_net.edge_messages(edge),
+                    "{what}: {edge} counts diverge"
+                );
+            }
+            par_net.shard_timing().expect("a sharded run").clone()
+        })
+        .collect()
+}
+
+/// Channels are stored in CSR order, not edge-id order. On topologies
+/// where the two differ, a windowed run on pre-drawn lookahead and each
+/// fallback — a late cross-shard arrival, an event-budget overshoot and a
+/// mid-window stop — must still reproduce the sequential run exactly.
+#[test]
+fn unordered_edge_ids_match_sequential_windowed_and_in_every_fallback() {
+    let exp: SharedDelay = Arc::new(Exponential::from_mean(1.0).expect("valid mean"));
+    let uniform: SharedDelay = Arc::new(Uniform::new(0.5, 1.5).expect("valid bounds"));
+    let flood = |burst, hops, stop_at| Flood {
+        burst,
+        hops,
+        stop_at,
+        heard: Vec::new(),
+    };
+    for (name, topo) in unordered_topologies() {
+        let windowed = assert_flood_equivalent(
+            &topo,
+            Arc::clone(&exp),
+            &flood(0, 40, 0),
+            RunLimits::unbounded(),
+            &format!("{name}, windowed"),
+        );
+        // More copies per port than the kernel pre-draws per edge.
+        let late = assert_flood_equivalent(
+            &topo,
+            Arc::clone(&exp),
+            &flood(6, 2, 0),
+            RunLimits::unbounded(),
+            &format!("{name}, late arrival"),
+        );
+        let budget = assert_flood_equivalent(
+            &topo,
+            Arc::clone(&uniform),
+            &flood(1, 6, 0),
+            RunLimits::events(1_001),
+            &format!("{name}, budget"),
+        );
+        let stop = assert_flood_equivalent(
+            &topo,
+            Arc::clone(&uniform),
+            &flood(1, 6, 20),
+            RunLimits::unbounded(),
+            &format!("{name}, stop"),
+        );
+        let all = |timings: &[abe_core::ShardTiming], holds: fn(&abe_core::ShardTiming) -> bool| {
+            timings.iter().all(holds)
+        };
+        assert!(
+            all(&windowed, |t| t.windows > 0 && !t.fell_back),
+            "{name}: {windowed:?}"
+        );
+        assert!(all(&late, |t| t.late_arrival_abort), "{name}: {late:?}");
+        for (case, timings) in [("budget", budget), ("stop", stop)] {
+            assert!(
+                all(&timings, |t| t.fell_back && !t.late_arrival_abort),
+                "{name}, {case}: {timings:?}"
+            );
+        }
+    }
+}
+
 /// The delay regimes the property sweep draws from: pre-drawn lookahead
 /// (exponential), positive lookahead (uniform), tie-heavy positive
 /// lookahead (deterministic), and a two-point delay with an atom at zero,
